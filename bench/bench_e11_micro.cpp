@@ -12,6 +12,7 @@
 
 #include "common.hpp"
 #include "core/repository.hpp"
+#include "oracle/fieldwalk_codec.hpp"
 #include "spec/linkspec_xml.hpp"
 #include "spec/message.hpp"
 #include "ta/interpreter.hpp"
@@ -72,7 +73,8 @@ BENCHMARK(BM_DecodeMessage)->Arg(1)->Arg(4)->Arg(16);
 // Same buffer/instance reused across iterations (the warmed-scratch
 // shape the VN hot path runs): the compiled pair goes through the
 // per-spec WireLayout offset table, the fieldwalk pair through the
-// reference codec the layout is property-tested against.
+// pre-S29 codec the layout is property-tested against (the oracle in
+// tests/oracle/fieldwalk_codec.hpp).
 
 void BM_EncodeCompiled(benchmark::State& state) {
   const spec::MessageSpec ms = wide_message(static_cast<int>(state.range(0)), 4);
@@ -92,9 +94,9 @@ void BM_EncodeFieldwalk(benchmark::State& state) {
   const spec::MessageSpec ms = wide_message(static_cast<int>(state.range(0)), 4);
   const spec::MessageInstance inst = spec::make_instance(ms);
   std::vector<std::byte> buffer;
-  benchmark::DoNotOptimize(spec::encode_fieldwalk_into(ms, inst, buffer));
+  benchmark::DoNotOptimize(oracle::encode_fieldwalk_into(ms, inst, buffer));
   for (auto _ : state) {
-    benchmark::DoNotOptimize(spec::encode_fieldwalk_into(ms, inst, buffer));
+    benchmark::DoNotOptimize(oracle::encode_fieldwalk_into(ms, inst, buffer));
     benchmark::DoNotOptimize(buffer.data());
   }
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
@@ -119,9 +121,9 @@ void BM_DecodeFieldwalk(benchmark::State& state) {
   const spec::MessageSpec ms = wide_message(static_cast<int>(state.range(0)), 4);
   const auto bytes = spec::encode(ms, spec::make_instance(ms)).value();
   spec::MessageInstance scratch = spec::make_instance(ms);
-  benchmark::DoNotOptimize(spec::decode_fieldwalk_into(ms, bytes, scratch));
+  benchmark::DoNotOptimize(oracle::decode_fieldwalk_into(ms, bytes, scratch));
   for (auto _ : state) {
-    benchmark::DoNotOptimize(spec::decode_fieldwalk_into(ms, bytes, scratch));
+    benchmark::DoNotOptimize(oracle::decode_fieldwalk_into(ms, bytes, scratch));
   }
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(ms.wire_size()));
@@ -230,18 +232,15 @@ std::unique_ptr<core::VirtualGateway> make_dissect_gateway(int elements) {
   return gateway;
 }
 
-/// Batched vs per-instance dispatch drain (DESIGN.md S29): one pending
-/// instance per dispatch round on a pull (time-triggered) input port,
-/// drained either through the precompiled input bindings or through the
-/// reference per-instance on_input() loop. Byte-identical artifacts by
-/// construction; the bench measures the bookkeeping the batch drain
-/// amortizes (symbol re-hashing, version re-walks, interpreter lookups).
-/// A gateway whose input is a pull-mode event port: arrivals queue up in
-/// the port ring and dispatch() drains the backlog. This is the shape
-/// the S29 batched drain amortizes -- plan/interpreter resolution and
-/// the pull-request scan happen once per port per dispatch instead of
-/// per pending instance.
-std::unique_ptr<core::VirtualGateway> make_drain_gateway(bool batched) {
+/// Batched vs per-instance dispatch drain (DESIGN.md S29): a gateway
+/// whose input is a pull-mode event port, so arrivals queue up in the
+/// port ring and dispatch() drains the backlog through the precompiled
+/// input binding -- plan/interpreter resolution and the pull-request
+/// scan happen once per port per dispatch instead of per pending
+/// instance. The per-instance row restates the drain the engine used
+/// before S29: pop each pending instance and offer it to on_input(),
+/// which resolves plan and interpreter by message name every time.
+std::unique_ptr<core::VirtualGateway> make_drain_gateway() {
   spec::LinkSpec link_a{"dasA"};
   spec::MessageSpec in = wide_message(2, 4);
   in.set_name("msgIn");
@@ -259,29 +258,46 @@ std::unique_ptr<core::VirtualGateway> make_drain_gateway(bool batched) {
                               spec::ControlParadigm::kTimeTriggered, Duration::seconds(3600)));
   core::GatewayConfig config;
   config.default_d_acc = Duration::seconds(3600);
-  config.batched_dispatch = batched;
   auto gateway = std::make_unique<core::VirtualGateway>("micro", std::move(link_a),
                                                         std::move(link_b), config);
   gateway->finalize();
   return gateway;
 }
 
+/// Pre-S29 per-instance drain of `port`, then the dispatch() that polls
+/// automata and runs the outputs (its own drain finds the port empty).
+void drain_per_instance(core::VirtualGateway& gateway, vn::Port& port, Instant now) {
+  while (port.has_data()) {
+    const spec::MessageInstance* m = port.peek();
+    if (m == nullptr) break;
+    port.drop_front();  // consume first; the slot stays intact until the ring wraps
+    gateway.on_input(0, *m, now);
+  }
+  gateway.dispatch(now);
+}
+
 /// One iteration = deposit `backlog` pending event instances, then one
-/// dispatch() that drains them all.
+/// drain of them all.
 void drain_rounds(benchmark::State& state, bool batched) {
   const int backlog = static_cast<int>(state.range(0));
-  auto gateway = make_drain_gateway(batched);
+  auto gateway = make_drain_gateway();
   vn::Port* in_port = gateway->link_a().port("msgIn");
   const spec::MessageSpec& ms = *gateway->link_a().spec().message("msgIn");
   spec::MessageInstance inst = spec::make_instance(ms);
+  const auto drain = [&](Instant now) {
+    if (batched)
+      gateway->dispatch(now);
+    else
+      drain_per_instance(*gateway, *in_port, now);
+  };
   Instant now = Instant::origin();
   for (int i = 0; i < backlog; ++i) in_port->deposit(inst, now);
-  gateway->dispatch(now);  // warm rings, plans and scratch
+  drain(now);  // warm rings, plans and scratch
   for (auto _ : state) {
     now += 10_ms;
     inst.set_send_time(now);
     for (int i = 0; i < backlog; ++i) in_port->deposit(inst, now);
-    gateway->dispatch(now);
+    drain(now);
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * backlog);
 }

@@ -1,7 +1,7 @@
 // E20 -- Microbenchmarks of the typed periodic-event kernel (timer wheel
 // + pooled nodes + in-place callables) against the reference kernel it
 // replaced (binary heap + unordered_map<id, std::function>, preserved in
-// sim/reference_kernel.hpp). Four shapes bracket what the TDMA clients
+// tests/oracle/reference_kernel.hpp). Four shapes bracket what the TDMA clients
 // do: one-shot schedule/fire churn (bus deliveries), schedule/cancel
 // (integration timeouts), steady periodic firing (slots, rounds,
 // partitions, gateway ticks -- the dominant load), and mixed churn with
@@ -14,7 +14,7 @@
 #include <vector>
 
 #include "common.hpp"
-#include "sim/reference_kernel.hpp"
+#include "oracle/reference_kernel.hpp"
 #include "sim/simulator.hpp"
 
 using namespace decos;

@@ -89,7 +89,7 @@ class GatewayLink {
   }
 
   /// One input port bound to its compiled dissect resources (S29). The
-  /// batched dispatch drain and the push-notify closures process an
+  /// dispatch drain and the push-notify closures process an
   /// instance through these pointers instead of re-hashing the message
   /// Symbol into the plan and interpreter maps on every arrival.
   struct InputBinding {

@@ -520,26 +520,17 @@ void VirtualGateway::bind_inputs() {
       if (binding.port_spec->direction != spec::DataDirection::kInput ||
           binding.port_spec->interaction != spec::Interaction::kPush)
         continue;
-      const int side = l.side();
-      binding.port->set_notify([this, side, &l, &binding](vn::Port& p) {
+      binding.port->set_notify([this, &l, &binding](vn::Port& p) {
         // Deposit just happened; its instant is the port's last update.
         const Instant now = p.last_update().value_or(Instant::origin());
         if (p.spec().semantics == spec::InfoSemantics::kState) {
           // Borrow the freshest image; the gateway copies what it keeps.
-          if (const spec::MessageInstance* m = p.peek()) {
-            if (config_.batched_dispatch)
-              drain_input(l, binding, *m, now);
-            else
-              on_input(side, *m, now);
-          }
+          if (const spec::MessageInstance* m = p.peek()) drain_input(l, binding, *m, now);
         } else if (const spec::MessageInstance* m = p.peek()) {
           // Consume before processing (as the old read() did); the
           // dropped slot's contents stay intact until the ring wraps.
           p.drop_front();
-          if (config_.batched_dispatch)
-            drain_input(l, binding, *m, now);
-          else
-            on_input(side, *m, now);
+          drain_input(l, binding, *m, now);
         }
       });
     }
@@ -612,7 +603,7 @@ void VirtualGateway::drain_input(GatewayLink& link, const GatewayLink::InputBind
                                  const spec::MessageInstance& instance, Instant now) {
   if (binding.plan == nullptr || instance.message_sym() != binding.plan->message_sym) {
     // The deposited instance is not the port's bound message (deposits
-    // are not type-checked): resolve it the reference way.
+    // are not type-checked): resolve it by name through on_input().
     on_input(link.side(), instance, now);
     return;
   }
@@ -896,67 +887,33 @@ void VirtualGateway::dispatch(Instant now) {
   for (GatewayLink* link : {&link_a_, &link_b_}) {
     maybe_restart(*link, now);
 
-    // Drain pull-mode input ports. Batched: each port's pending backlog
-    // runs through its precompiled binding -- one plan/interpreter
-    // resolution and one pull-request scan per port per dispatch, not
-    // per instance. The per-instance admission sequence (and with it
-    // every artifact) is preserved; only the lookups are amortized.
-    if (config_.batched_dispatch) {
-      for (const GatewayLink::InputBinding& binding : link->input_bindings_) {
-        if (!binding.is_pull) continue;
-        if (config_.pull_only_on_request) {
-          bool wanted = false;
-          for (const ElementId id : binding.pull_request_ids)
-            if (repository_.requested(id)) {
-              wanted = true;
-              break;
-            }
-          if (!wanted) continue;
-        }
-        vn::Port& port = *binding.port;
-        while (port.has_data()) {
-          if (binding.is_state) {
-            // State: borrow the one current image, no consumption.
-            if (const spec::MessageInstance* m = port.peek()) drain_input(*link, binding, *m, now);
+    // Drain pull-mode input ports: each port's pending backlog runs
+    // through its precompiled binding -- one plan/interpreter resolution
+    // and one pull-request scan per port per dispatch, not per instance.
+    // The per-instance admission sequence (and with it every artifact)
+    // is preserved; only the lookups are amortized.
+    for (const GatewayLink::InputBinding& binding : link->input_bindings_) {
+      if (!binding.is_pull) continue;
+      if (config_.pull_only_on_request) {
+        bool wanted = false;
+        for (const ElementId id : binding.pull_request_ids)
+          if (repository_.requested(id)) {
+            wanted = true;
             break;
           }
-          const spec::MessageInstance* m = port.peek();
-          if (m == nullptr) break;
-          port.drop_front();  // consume first; the slot stays intact until the ring wraps
-          drain_input(*link, binding, *m, now);
-        }
+        if (!wanted) continue;
       }
-    } else {
-      // Reference per-instance path (batched_dispatch_lockstep_test pins
-      // the batched drain against it).
-      for (const auto& port_ptr : link->ports_) {
-        vn::Port& port = *port_ptr;
-        const spec::PortSpec& port_spec = port.spec();
-        if (port_spec.direction != spec::DataDirection::kInput ||
-            port_spec.interaction != spec::Interaction::kPull)
-          continue;
-        if (config_.pull_only_on_request) {
-          bool wanted = false;
-          if (const auto sym = SymbolTable::global().lookup(port_spec.message)) {
-            const auto pit = link->dissect_plans_.find(*sym);
-            if (pit != link->dissect_plans_.end())
-              for (const DissectItem& item : pit->second.items)
-                if (item.repo_id != kInvalidElementId && repository_.requested(item.repo_id))
-                  wanted = true;
-          }
-          if (!wanted) continue;
+      vn::Port& port = *binding.port;
+      while (port.has_data()) {
+        if (binding.is_state) {
+          // State: borrow the one current image, no consumption.
+          if (const spec::MessageInstance* m = port.peek()) drain_input(*link, binding, *m, now);
+          break;
         }
-        while (port.has_data()) {
-          if (port_spec.semantics == spec::InfoSemantics::kState) {
-            // State: borrow the one current image, no consumption.
-            if (const spec::MessageInstance* m = port.peek()) on_input(link->side(), *m, now);
-            break;
-          }
-          const spec::MessageInstance* m = port.peek();
-          if (m == nullptr) break;
-          port.drop_front();  // consume first; the slot stays intact until the ring wraps
-          on_input(link->side(), *m, now);
-        }
+        const spec::MessageInstance* m = port.peek();
+        if (m == nullptr) break;
+        port.drop_front();  // consume first; the slot stays intact until the ring wraps
+        drain_input(*link, binding, *m, now);
       }
     }
 

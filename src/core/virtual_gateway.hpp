@@ -64,15 +64,6 @@ struct GatewayConfig {
   /// (declint, src/lint/) over the configured gateway and throws
   /// SpecError with the full report when any rule reports an error.
   bool strict_lint = false;
-  /// S29: dispatch() and the push-notify closures process arrivals
-  /// through the precompiled input bindings (plan and interpreter bound
-  /// per port, pull-request slots resolved, version sums cached on the
-  /// repository store epoch). When false, every arrival walks the
-  /// reference per-instance path through on_input()'s map lookups. The
-  /// two paths produce byte-identical artifacts by construction
-  /// (batched_dispatch_lockstep_test pins this); the knob exists for
-  /// that test and for A/B measurement, not as a semantic ablation.
-  bool batched_dispatch = true;
 };
 
 /// Forwarding statistics (inputs to E1/E2/E4/E10/E12).
@@ -160,8 +151,10 @@ class VirtualGateway {
   bool finalized() const { return finalized_; }
 
   // -- runtime entry points ----------------------------------------------
-  /// Offer an incoming instance on `side`. Wired automatically to the
-  /// link's push input ports by finalize(); call directly in tests.
+  /// Offer an incoming instance on `side`, resolved by message name. The
+  /// entry point for instances fed in directly, not through a port;
+  /// port arrivals drain through the precompiled bindings and come here
+  /// only for a deposit of a message the port is not bound to.
   void on_input(int side, const spec::MessageInstance& instance, Instant now);
 
   /// Periodic service: drain pull inputs, poll automata (timeout
@@ -198,8 +191,7 @@ class VirtualGateway {
   void compile_plans();
 
   /// finalize() stage 3: build the per-port input bindings and install
-  /// the push-notify closures (which route through the bindings when
-  /// config_.batched_dispatch and fall back to on_input otherwise).
+  /// the push-notify closures that drain arrivals through them.
   void bind_inputs();
 
   /// Shared admission body of on_input(): temporal automaton, value
@@ -208,7 +200,7 @@ class VirtualGateway {
   bool process_input(GatewayLink& link, DissectPlan& plan, ta::Interpreter* recv_interpreter,
                      const spec::MessageInstance& instance, Instant now);
 
-  /// Batched-path arrival: process `instance` through its precompiled
+  /// Port arrival: process `instance` through its precompiled
   /// binding; falls back to on_input() when the deposited instance is
   /// not the port's bound message (deposits are not type-checked).
   void drain_input(GatewayLink& link, const GatewayLink::InputBinding& binding,

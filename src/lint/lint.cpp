@@ -11,6 +11,7 @@
 #include "lint/flowgraph.hpp"
 #include "lint/symbolic.hpp"
 #include "lint/timing.hpp"
+#include "rt/framing.hpp"
 
 namespace decos::lint {
 namespace {
@@ -186,27 +187,11 @@ std::set<std::string> output_required_elements(const GatewayModel& model) {
   return out;
 }
 
-/// Worst-case payload demand of one gateway link on its virtual network,
-/// in bytes per TDMA round. Unlike VirtualNetworkSpec (which aggregates
-/// every job's link and therefore counts each flow once at its producer),
-/// the gateway model sees only its own link, so both directions count:
-/// input ports are traffic the DAS jobs transmit towards the gateway,
-/// output ports are the gateway's own transmissions.
-double link_demand_bytes_per_round(const spec::LinkSpec& link, Duration round) {
-  if (round <= Duration::zero()) return 0.0;
-  const double round_ns = static_cast<double>(round.ns());
-  double total = 0.0;
-  for (const auto& port : link.ports()) {
-    const spec::MessageSpec* ms = link.message(port.message);
-    if (ms == nullptr) continue;
-    const double bytes = static_cast<double>(ms->wire_size());
-    if (port.is_time_triggered() && port.period > Duration::zero()) {
-      total += bytes * round_ns / static_cast<double>(port.period.ns());
-    } else if (port.min_interarrival > Duration::zero()) {
-      total += bytes * round_ns / static_cast<double>(port.min_interarrival.ns());
-    }
-  }
-  return total;
+/// A TT period that neither divides nor is a whole multiple of the
+/// round drifts against the TDMA schedule.
+bool incommensurable(Duration period, Duration round) {
+  return period > Duration::zero() && round > Duration::zero() &&
+         !period.mod(round).is_zero() && !round.mod(period).is_zero();
 }
 
 // ---------------------------------------------------------------------------
@@ -711,16 +696,13 @@ void check_ports(const GatewayModel& model, bool standalone, Report& report) {
 
       // Round divisibility against the physical schedule, when known.
       if (model.schedule != nullptr && model.link_vn[side].has_value() &&
-          port.is_time_triggered() && port.period > Duration::zero()) {
-        const Duration round = model.schedule->round_length();
-        if (round > Duration::zero() && !port.period.mod(round).is_zero() &&
-            !round.mod(port.period).is_zero()) {
-          report.add(kRulePorts, Severity::kError, loc,
-                     "TT period " + port.period.to_string() +
-                         " is incommensurable with the TDMA round " + round.to_string() +
-                         " of the core network",
-                     "make the period divide the round (or be a whole multiple of it)");
-        }
+          port.is_time_triggered() &&
+          incommensurable(port.period, model.schedule->round_length())) {
+        report.add(kRulePorts, Severity::kError, loc,
+                   "TT period " + port.period.to_string() +
+                       " is incommensurable with the TDMA round " +
+                       model.schedule->round_length().to_string() + " of the core network",
+                   "make the period divide the round (or be a whole multiple of it)");
       }
     }
 
@@ -775,7 +757,15 @@ void check_bandwidth(const GatewayModel& model, Report& report) {
     const tt::VnId vn = *model.link_vn[side];
     const std::string loc = side_loc(model, side);
 
+    // Worst-case demand of the link in bytes per TDMA round. Unlike
+    // VirtualNetworkSpec (which aggregates every job's link and therefore
+    // counts each flow once at its producer), the gateway model sees only
+    // its own link, so both directions count: input ports are traffic the
+    // DAS jobs transmit towards the gateway, output ports are the
+    // gateway's own transmissions.
+    double demand = 0.0;
     for (const auto& port : link->ports()) {
+      demand += link->port_bytes_per_round(port, model.schedule->round_length());
       const bool bounded = (port.is_time_triggered() && port.period > Duration::zero()) ||
                            port.min_interarrival > Duration::zero();
       if (!bounded) {
@@ -787,7 +777,6 @@ void check_bandwidth(const GatewayModel& model, Report& report) {
     }
 
     const std::size_t granted = model.schedule->bytes_per_round(vn);
-    const double demand = link_demand_bytes_per_round(*link, model.schedule->round_length());
     if (granted == 0) {
       report.add(kRuleSchedule, Severity::kError, loc,
                  "no slot of the TDMA schedule carries virtual network " + std::to_string(vn),
@@ -834,18 +823,12 @@ ElementMeta GatewayModel::element_meta(const std::string& repo,
 // DL011 -- event-port queue sizing vs live-runtime ring capacity
 // ---------------------------------------------------------------------------
 
-/// Mirrors rt/ring.hpp framing (4-byte length prefix padded to the
-/// 8-byte frame alignment) as plain arithmetic: lint/ cannot include
-/// rt/ because core depends on lint and rt depends on core.
-std::size_t framed_bytes(std::size_t payload) {
-  return (4 + payload + 7) & ~std::size_t{7};
-}
-
 void check_ring_capacity(const GatewayModel& model, Report& report) {
   if (model.transport_ring_bytes == 0) return;
-  // rt::SpscRing rejects frames larger than a quarter of the ring so the
-  // wrap marker always fits; mirror that bound here.
-  const std::size_t max_frame = model.transport_ring_bytes / 4;
+  // Judge the ring the runtime actually builds for the requested size,
+  // with the runtime's own per-frame payload limit.
+  const std::size_t capacity = rt::round_capacity(model.transport_ring_bytes);
+  const std::size_t max_payload = rt::max_payload(capacity);
   for (int side = 0; side < 2; ++side) {
     const spec::LinkSpec* link = model.links[side];
     if (link == nullptr) continue;
@@ -853,37 +836,38 @@ void check_ring_capacity(const GatewayModel& model, Report& report) {
       if (port.direction != spec::DataDirection::kInput) continue;
       const spec::MessageSpec* ms = link->message(port.message);
       if (ms == nullptr) continue;
-      const std::size_t frame = framed_bytes(ms->wire_size());
+      const std::size_t payload = ms->wire_size();
       const std::string loc =
           side_loc(model, side) + ": port for message '" + port.message + "'";
-      if (frame > max_frame) {
+      if (payload > max_payload) {
         report.add(kRuleRingCapacity, Severity::kNote, loc,
-                   "a frame of '" + port.message + "' occupies " + std::to_string(frame) +
-                       " ring bytes but the runtime ingress ring accepts at most " +
-                       std::to_string(max_frame) + " per frame (capacity " +
-                       std::to_string(model.transport_ring_bytes) +
+                   "a frame of '" + port.message + "' carries " + std::to_string(payload) +
+                       " payload bytes but the runtime ingress ring accepts at most " +
+                       std::to_string(max_payload) + " per frame (capacity " +
+                       std::to_string(capacity) +
                        " / 4); the live runtime can never carry this message",
-                   "raise the ring capacity to at least " + std::to_string(frame * 4) +
-                       " bytes");
+                   "raise the ring capacity to at least " +
+                       std::to_string(rt::round_capacity(payload * 4)) + " bytes");
         continue;
       }
+      const std::size_t frame = rt::framed_size(payload);
       for (const auto* element : ms->convertible_elements()) {
         const std::string repo = model.repo_name(side, element->name);
         const ElementMeta meta = model.element_meta(repo, port.semantics);
         if (meta.semantics != spec::InfoSemantics::kEvent) continue;
-        const std::size_t frames_in_ring = model.transport_ring_bytes / frame;
+        const std::size_t frames_in_ring = capacity / frame;
         if (frames_in_ring < meta.queue_capacity) {
           report.add(kRuleRingCapacity, Severity::kNote,
                      loc + ", element '" + repo + "'",
                      "event queue provisions " + std::to_string(meta.queue_capacity) +
                          " instances (DL006/DL010 demand) but the runtime ingress ring (" +
-                         std::to_string(model.transport_ring_bytes) +
+                         std::to_string(capacity) +
                          " bytes) buffers at most " + std::to_string(frames_in_ring) +
                          " frames of '" + port.message + "' (" + std::to_string(frame) +
                          " bytes framed); a burst drops at the transport before admission "
                          "ever sees it",
                      "raise the ring capacity to at least " +
-                         std::to_string(frame * meta.queue_capacity) +
+                         std::to_string(rt::round_capacity(frame * meta.queue_capacity)) +
                          " bytes or shrink the queue");
         }
       }
@@ -1002,9 +986,7 @@ Report lint_virtual_network(const spec::VirtualNetworkSpec& vn, const tt::TdmaSc
       schedule != nullptr ? schedule->round_length() : vn.round_length();
   for (const auto& link : vn.links()) {
     for (const auto& port : link.ports()) {
-      if (port.is_time_triggered() && port.period > Duration::zero() &&
-          round > Duration::zero() && !port.period.mod(round).is_zero() &&
-          !round.mod(port.period).is_zero()) {
+      if (port.is_time_triggered() && incommensurable(port.period, round)) {
         report.add(kRulePorts, Severity::kError,
                    loc + ": port for message '" + port.message + "'",
                    "TT period " + port.period.to_string() +

@@ -105,9 +105,10 @@ struct GatewayModel {
   const tt::TdmaSchedule* schedule = nullptr;
   std::array<std::optional<tt::VnId>, 2> link_vn;
 
-  /// Optional live-runtime transport context for DL011: the byte
-  /// capacity of the per-endpoint ingress ring (src/rt/ring.hpp). Zero
-  /// means "not deployed on the live runtime"; the rule stays silent.
+  /// Optional live-runtime transport context for DL011: the requested
+  /// byte capacity of the per-endpoint ingress ring (src/rt/ring.hpp),
+  /// judged at the size the runtime rounds it up to. Zero means "not
+  /// deployed on the live runtime"; the rule stays silent.
   std::size_t transport_ring_bytes = 0;
 
   /// Repository (canonical) name of `element` as seen from `side`.

@@ -11,12 +11,6 @@
 
 namespace decos::rt {
 
-std::size_t SpscRing::round_capacity(std::size_t bytes) {
-  std::size_t cap = kMinCapacity;
-  while (cap < bytes) cap <<= 1;
-  return cap;
-}
-
 SpscRing::SpscRing(std::size_t capacity_bytes) {
   const std::size_t capacity = round_capacity(capacity_bytes);
   owned_ = std::make_unique<std::byte[]>(region_size(capacity));
@@ -99,7 +93,7 @@ ShmRing::ShmRing(std::string name, void* region, std::size_t region_bytes, bool 
       ring_{region, region_bytes, creator} {}
 
 Result<ShmRing> ShmRing::create(const std::string& name, std::size_t capacity_bytes) {
-  const std::size_t capacity = SpscRing::round_capacity(capacity_bytes);
+  const std::size_t capacity = round_capacity(capacity_bytes);
   const std::size_t bytes = SpscRing::region_size(capacity);
   // A stale object from a crashed run must not leak its cursors into
   // this one: recreate from scratch.

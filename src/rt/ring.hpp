@@ -29,6 +29,7 @@
 #include <span>
 #include <string>
 
+#include "rt/framing.hpp"
 #include "util/result.hpp"
 
 namespace decos::rt {
@@ -50,24 +51,13 @@ class SpscRing {
  public:
   static constexpr std::uint32_t kMagic = 0x44435247;  // "DCRG"
   static constexpr std::uint32_t kVersion = 1;
-  static constexpr std::size_t kFrameAlign = 8;
   static constexpr std::uint32_t kWrapMarker = 0xffffffffu;
-  static constexpr std::size_t kMinCapacity = 4096;
-
-  /// Bytes a frame of `payload` bytes occupies in the ring (length
-  /// prefix + payload, rounded up to the frame alignment).
-  static constexpr std::size_t framed_size(std::size_t payload) {
-    return (sizeof(std::uint32_t) + payload + (kFrameAlign - 1)) & ~(kFrameAlign - 1);
-  }
-
-  /// Smallest valid capacity >= `bytes` (power of two, >= kMinCapacity).
-  static std::size_t round_capacity(std::size_t bytes);
 
   /// Region bytes needed for a ring of `capacity` data bytes.
   static std::size_t region_size(std::size_t capacity) { return sizeof(RingHeader) + capacity; }
 
   /// In-process ring owning its storage. `capacity_bytes` is rounded up
-  /// via round_capacity().
+  /// via round_capacity() (rt/framing.hpp).
   explicit SpscRing(std::size_t capacity_bytes);
 
   /// Ring over an external region of `region_bytes` (e.g. a shared
@@ -85,9 +75,8 @@ class SpscRing {
 
   bool valid() const { return header_ != nullptr; }
   std::size_t capacity() const { return capacity_; }
-  /// Largest single payload accepted (a frame must leave room for a
-  /// wrap marker and must never be able to deadlock the ring).
-  std::size_t max_payload() const { return capacity_ / 4; }
+  /// Largest single payload accepted (rt::max_payload of the capacity).
+  std::size_t max_payload() const { return rt::max_payload(capacity_); }
 
   /// Producer side. False = ring full or payload oversize; both count a
   /// drop (the caller applies its per-flow policy on top).

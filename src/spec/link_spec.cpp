@@ -12,6 +12,17 @@ const MessageSpec* LinkSpec::message(const std::string& name) const {
   return nullptr;
 }
 
+double LinkSpec::port_bytes_per_round(const PortSpec& port, Duration round) const {
+  const MessageSpec* ms = message(port.message);
+  if (ms == nullptr || round <= Duration::zero()) return 0.0;
+  const double bytes = static_cast<double>(ms->wire_size()) * static_cast<double>(round.ns());
+  if (port.is_time_triggered() && port.period > Duration::zero())
+    return bytes / static_cast<double>(port.period.ns());
+  if (port.min_interarrival > Duration::zero())
+    return bytes / static_cast<double>(port.min_interarrival.ns());
+  return 0.0;
+}
+
 const MessageSpec* LinkSpec::identify(std::span<const std::byte> payload) const {
   for (const auto& m : messages_)
     if (matches_key(m, payload)) return &m;

@@ -79,6 +79,13 @@ class LinkSpec {
   const std::vector<PortSpec>& ports() const { return ports_; }
   const PortSpec* port_for(const std::string& message_name) const;
 
+  /// Worst-case payload bytes `port` puts on the wire per `round`: a
+  /// time-triggered port wire_size * (round / period), an event port
+  /// wire_size * (round / tmin). Zero for an unbounded port (no period,
+  /// no tmin), a message this link does not define, or a non-positive
+  /// round.
+  double port_bytes_per_round(const PortSpec& port, Duration round) const;
+
   // -- parameters -----------------------------------------------------------
   void set_parameter(const std::string& name, ta::Value value) { parameters_[name] = std::move(value); }
   const std::unordered_map<std::string, ta::Value>& parameters() const { return parameters_; }

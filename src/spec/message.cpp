@@ -1,17 +1,8 @@
 #include "spec/message.hpp"
 
-#include <bit>
-#include <cstring>
-#include <limits>
-
-#include "spec/codec_detail.hpp"
 #include "spec/wire_layout.hpp"
 
 namespace decos::spec {
-
-using codec_detail::decode_field;
-using codec_detail::decode_field_into;
-using codec_detail::encode_field;
 
 const ta::Value* ElementValue::field(const ElementSpec& spec, const std::string& field_name) const {
   for (std::size_t i = 0; i < spec.fields.size() && i < fields.size(); ++i) {
@@ -94,32 +85,6 @@ Status encode_into(const MessageSpec& spec, const MessageInstance& instance,
   return spec.layout().encode_into(spec, instance, out);
 }
 
-Status encode_fieldwalk_into(const MessageSpec& spec, const MessageInstance& instance,
-                             std::vector<std::byte>& out) {
-  if (instance.message() != spec.name())
-    return Status::failure("instance of '" + instance.message() + "' encoded against spec '" +
-                           spec.name() + "'");
-  out.clear();
-  out.reserve(spec.wire_size());
-  if (instance.elements().size() != spec.elements().size())
-    return Status::failure("instance of '" + spec.name() + "' has " +
-                           std::to_string(instance.elements().size()) + " elements, spec has " +
-                           std::to_string(spec.elements().size()));
-  for (std::size_t ei = 0; ei < spec.elements().size(); ++ei) {
-    const ElementSpec& es = spec.elements()[ei];
-    const ElementValue& ev = instance.elements()[ei];
-    if (ev.element != es.name)
-      return Status::failure("element order mismatch: expected '" + es.name + "', got '" +
-                             ev.element + "'");
-    if (ev.fields.size() != es.fields.size())
-      return Status::failure("element '" + es.name + "' field count mismatch");
-    for (std::size_t fi = 0; fi < es.fields.size(); ++fi) {
-      if (auto st = encode_field(out, es.fields[fi], ev.fields[fi]); !st.ok()) return st;
-    }
-  }
-  return Status::success();
-}
-
 Result<MessageInstance> decode(const MessageSpec& spec, std::span<const std::byte> payload) {
   MessageInstance inst;
   if (auto st = decode_into(spec, payload, inst); !st.ok()) return st.error();
@@ -131,62 +96,8 @@ Status decode_into(const MessageSpec& spec, std::span<const std::byte> payload,
   return spec.layout().decode_into(spec, payload, scratch);
 }
 
-Status decode_fieldwalk_into(const MessageSpec& spec, std::span<const std::byte> payload,
-                             MessageInstance& scratch) {
-  if (payload.size() != spec.wire_size())
-    return Status::failure("payload size " + std::to_string(payload.size()) +
-                           " does not match spec '" + spec.name() + "' (" +
-                           std::to_string(spec.wire_size()) + " bytes)");
-  // (Re)build the element skeleton only when the scratch instance is not
-  // already shaped for this spec; in the steady state the structure
-  // matches and only values are overwritten.
-  const bool structured = scratch.message_sym().valid() &&
-                          scratch.message_sym() == spec.name_sym() &&
-                          scratch.elements().size() == spec.elements().size();
-  if (!structured) {
-    scratch.set_message(spec.name());
-    scratch.elements().clear();
-    for (const auto& es : spec.elements()) {
-      ElementValue ev;
-      ev.element = es.name;
-      ev.element_sym = intern_symbol(es.name);
-      ev.fields.resize(es.fields.size());
-      scratch.add_element(std::move(ev));
-    }
-  }
-  std::size_t offset = 0;
-  for (std::size_t ei = 0; ei < spec.elements().size(); ++ei) {
-    const ElementSpec& es = spec.elements()[ei];
-    ElementValue& ev = scratch.elements()[ei];
-    if (ev.fields.size() != es.fields.size()) ev.fields.resize(es.fields.size());
-    for (std::size_t fi = 0; fi < es.fields.size(); ++fi) {
-      decode_field_into(ev.fields[fi], payload, offset, es.fields[fi]);
-      offset += es.fields[fi].wire_size();
-    }
-  }
-  scratch.set_trace(0, 0);
-  return Status::success();
-}
-
 bool matches_key(const MessageSpec& spec, std::span<const std::byte> payload) {
-  return spec.layout().matches_key(spec, payload);
-}
-
-bool matches_key_fieldwalk(const MessageSpec& spec, std::span<const std::byte> payload) {
-  if (payload.size() != spec.wire_size()) return false;
-  std::size_t offset = 0;
-  bool has_key = false;
-  for (const auto& es : spec.elements()) {
-    for (const auto& fs : es.fields) {
-      if (es.key && fs.static_value) {
-        has_key = true;
-        const ta::Value decoded = decode_field(payload, offset, fs);
-        if (!(decoded == *fs.static_value)) return false;
-      }
-      offset += fs.wire_size();
-    }
-  }
-  return has_key;
+  return spec.layout().matches_key(payload);
 }
 
 }  // namespace decos::spec

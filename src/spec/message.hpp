@@ -104,17 +104,9 @@ Result<std::vector<std::byte>> encode(const MessageSpec& spec, const MessageInst
 
 /// Hot-path encode: reuses `out` (capacity is retained, so a warmed
 /// buffer makes repeated encodes allocation-free). Runs the compiled
-/// WireLayout of `spec` (template memcpy + fixed-offset stores); on any
-/// input the fast path cannot handle bit-identically it re-runs the
-/// field-walk reference, so bytes and errors never diverge from it.
+/// WireLayout of `spec` (template memcpy + fixed-offset stores).
 Status encode_into(const MessageSpec& spec, const MessageInstance& instance,
                    std::vector<std::byte>& out);
-
-/// The field-walk reference encoder (pre-S29 codec). Kept as the
-/// equivalence anchor for wire_layout_property_test and as the fallback
-/// of the compiled path; not for hot-path use.
-Status encode_fieldwalk_into(const MessageSpec& spec, const MessageInstance& instance,
-                             std::vector<std::byte>& out);
 
 /// Decode a payload according to `spec`. Fails on size mismatch.
 Result<MessageInstance> decode(const MessageSpec& spec, std::span<const std::byte> payload);
@@ -127,18 +119,10 @@ Result<MessageInstance> decode(const MessageSpec& spec, std::span<const std::byt
 Status decode_into(const MessageSpec& spec, std::span<const std::byte> payload,
                    MessageInstance& scratch);
 
-/// The field-walk reference decoder (pre-S29 codec); equivalence anchor
-/// and not for hot-path use.
-Status decode_fieldwalk_into(const MessageSpec& spec, std::span<const std::byte> payload,
-                             MessageInstance& scratch);
-
 /// Check whether `payload` carries the message described by `spec`, by
 /// comparing all static key fields (the wire-level message name). Runs
 /// the compiled WireLayout of `spec` (memcmp against the pre-encoded
 /// template where the encoding is bijective).
 bool matches_key(const MessageSpec& spec, std::span<const std::byte> payload);
-
-/// The field-walk reference of matches_key; equivalence anchor.
-bool matches_key_fieldwalk(const MessageSpec& spec, std::span<const std::byte> payload);
 
 }  // namespace decos::spec

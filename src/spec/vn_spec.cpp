@@ -12,22 +12,11 @@ const MessageSpec* VirtualNetworkSpec::message(const std::string& message_name) 
 }
 
 double VirtualNetworkSpec::worst_case_bytes_per_round() const {
-  if (round_length_ <= Duration::zero()) return 0.0;
   double total = 0.0;
-  const double round_ns = static_cast<double>(round_length_.ns());
-  for (const auto& link : links_) {
-    for (const auto& port : link.ports()) {
-      if (port.direction != DataDirection::kOutput) continue;
-      const MessageSpec* ms = link.message(port.message);
-      const double bytes = static_cast<double>(ms->wire_size());
-      if (port.is_time_triggered() && port.period > Duration::zero()) {
-        total += bytes * round_ns / static_cast<double>(port.period.ns());
-      } else if (port.min_interarrival > Duration::zero()) {
-        total += bytes * round_ns / static_cast<double>(port.min_interarrival.ns());
-      }
-      // else: unbounded -- reported by unbounded_output_ports().
-    }
-  }
+  for (const auto& link : links_)
+    for (const auto& port : link.ports())
+      if (port.direction == DataDirection::kOutput)
+        total += link.port_bytes_per_round(port, round_length_);
   return total;
 }
 

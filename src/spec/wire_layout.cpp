@@ -3,16 +3,62 @@
 #include <bit>
 #include <cstring>
 #include <limits>
+#include <string>
 
-#include "spec/codec_detail.hpp"
 #include "spec/message.hpp"
 #include "spec/message_spec.hpp"
 
 namespace decos::spec {
 
-using codec_detail::load_be;
-using codec_detail::sign_extend;
-using codec_detail::store_be;
+namespace {
+
+/// Big-endian store of the low `bytes` bytes of `v` at `out`.
+void store_be(std::byte* out, std::uint64_t v, std::size_t bytes) {
+  for (std::size_t i = 0; i < bytes; ++i) {
+    out[i] = static_cast<std::byte>((v >> (8 * (bytes - 1 - i))) & 0xFF);
+  }
+}
+
+/// Big-endian load of `bytes` bytes at `in`.
+std::uint64_t load_be(const std::byte* in, std::size_t bytes) {
+  std::uint64_t v = 0;
+  for (std::size_t i = 0; i < bytes; ++i) {
+    v = (v << 8) | static_cast<std::uint64_t>(in[i]);
+  }
+  return v;
+}
+
+std::int64_t sign_extend(std::uint64_t v, std::size_t bytes) {
+  if (bytes == 8) return static_cast<std::int64_t>(v);
+  const std::uint64_t sign_bit = 1ULL << (8 * bytes - 1);
+  if (v & sign_bit) v |= ~((sign_bit << 1) - 1);
+  return static_cast<std::int64_t>(v);
+}
+
+/// Range check for integer fields; out-of-range values are value-domain
+/// faults that must not silently wrap on the wire.
+Status check_range(const FieldSpec& f, std::int64_t v) {
+  std::int64_t lo = 0;
+  std::int64_t hi = 0;
+  switch (f.type) {
+    case FieldType::kInt8: lo = -128; hi = 127; break;
+    case FieldType::kInt16: lo = -32768; hi = 32767; break;
+    case FieldType::kInt32: lo = std::numeric_limits<std::int32_t>::min(); hi = std::numeric_limits<std::int32_t>::max(); break;
+    case FieldType::kInt64: return Status::success();
+    case FieldType::kUInt8: lo = 0; hi = 255; break;
+    case FieldType::kUInt16: lo = 0; hi = 65535; break;
+    case FieldType::kUInt32: lo = 0; hi = 4294967295LL; break;
+    case FieldType::kUInt64: return v >= 0 ? Status::success()
+                                           : Status::failure("negative value for uint64 field '" + f.name + "'");
+    default: return Status::success();
+  }
+  if (v < lo || v > hi)
+    return Status::failure("value " + std::to_string(v) + " out of range for field '" + f.name +
+                           "' (" + field_type_name(f.type) + ")");
+  return Status::success();
+}
+
+}  // namespace
 
 WireLayout WireLayout::compile(const MessageSpec& spec) {
   WireLayout layout;
@@ -67,30 +113,24 @@ WireLayout WireLayout::compile(const MessageSpec& spec) {
         op.static_idx = static_cast<std::uint32_t>(layout.static_values_.size());
         layout.static_values_.push_back(*fs.static_value);
         layout.has_key_ = layout.has_key_ || op.key;
-        // Pre-encode the static into the template. A static that does
-        // not encode (wrong type, out of range) demotes the whole
-        // layout to the reference path; its exact error, if ever
-        // reached, must come from the field-walk codec.
-        std::vector<std::byte> bytes;
-        bool encoded = false;
+        // Pre-encode the static into the template with the same per-op
+        // encoder the dynamic fields use. A static that does not encode
+        // (wrong type, out of range) stays out of the template: encode
+        // then runs it per op and reports its error in field order.
         try {
-          encoded = codec_detail::encode_field(bytes, fs, *fs.static_value).ok();
+          op.in_template =
+              encode_op(spec, op, *fs.static_value, layout.template_.data()).ok();
         } catch (const SpecError&) {
-          encoded = false;
+          op.in_template = false;
         }
-        if (encoded && bytes.size() == fs.wire_size()) {
-          std::memcpy(layout.template_.data() + offset, bytes.data(), bytes.size());
-          // memcmp key matching is sound only when encode and decode
-          // are inverse bijections on the comparison domain: integer
-          // statics of integer fields. Booleans (any nonzero byte is
-          // true), strings (NUL-stop ignores padding) and floats
-          // (-0.0 == 0.0, NaN != NaN) need the decode-and-compare path.
-          op.key_memcmp = op.key && fs.static_value->is_int() &&
-                          op.kind != OpKind::kBool && op.kind != OpKind::kF32 &&
-                          op.kind != OpKind::kF64 && op.kind != OpKind::kString;
-        } else {
-          layout.statics_encodable_ = false;
-        }
+        // memcmp key matching is sound only when encode and decode are
+        // inverse bijections on the comparison domain: integer statics
+        // of integer fields. Booleans (any nonzero byte is true),
+        // strings (NUL-stop ignores padding) and floats (-0.0 == 0.0,
+        // NaN != NaN) need the decode-and-compare path.
+        op.key_memcmp = op.in_template && op.key && fs.static_value->is_int() &&
+                        op.kind != OpKind::kBool && op.kind != OpKind::kF32 &&
+                        op.kind != OpKind::kF64 && op.kind != OpKind::kString;
       }
       layout.ops_.push_back(op);
       offset += static_cast<std::uint32_t>(fs.wire_size());
@@ -115,8 +155,8 @@ bool WireLayout::static_equals(const FieldOp& op, const ta::Value& v) const {
   return s.is_string() && v.as_string() == s.as_string();
 }
 
-Status WireLayout::encode_dynamic(const MessageSpec& spec, const FieldOp& op, const ta::Value& v,
-                                  std::byte* out) const {
+Status WireLayout::encode_op(const MessageSpec& spec, const FieldOp& op, const ta::Value& v,
+                             std::byte* out) {
   switch (op.kind) {
     case OpKind::kBool:
       out[op.offset] = v.as_bool() ? std::byte{1} : std::byte{0};
@@ -142,15 +182,8 @@ Status WireLayout::encode_dynamic(const MessageSpec& spec, const FieldOp& op, co
     default: {
       const std::int64_t i = v.as_int();
       if (i < op.lo || i > op.hi)
-        return codec_detail::check_range(spec.elements()[op.element].fields[op.field], i);
-      std::size_t width = 1;
-      switch (op.kind) {
-        case OpKind::kI16: case OpKind::kU16: width = 2; break;
-        case OpKind::kI32: case OpKind::kU32: width = 4; break;
-        case OpKind::kI64: case OpKind::kU64: width = 8; break;
-        default: break;
-      }
-      store_be(out + op.offset, static_cast<std::uint64_t>(i), width);
+        return check_range(spec.elements()[op.element].fields[op.field], i);
+      store_be(out + op.offset, static_cast<std::uint64_t>(i), op_width(op.kind));
       return Status::success();
     }
   }
@@ -158,7 +191,6 @@ Status WireLayout::encode_dynamic(const MessageSpec& spec, const FieldOp& op, co
 
 Status WireLayout::encode_into(const MessageSpec& spec, const MessageInstance& instance,
                                std::vector<std::byte>& out) const {
-  if (!statics_encodable_) return encode_fieldwalk_into(spec, instance, out);
   if (instance.message() != spec.name())
     return Status::failure("instance of '" + instance.message() + "' encoded against spec '" +
                            spec.name() + "'");
@@ -180,18 +212,44 @@ Status WireLayout::encode_into(const MessageSpec& spec, const MessageInstance& i
     for (std::uint32_t oi = elements_[ei].begin; oi < elements_[ei].end; ++oi) {
       const FieldOp& op = ops_[oi];
       const ta::Value& v = ev.fields[op.field];
-      if (op.is_static) {
-        // Template bytes already hold the spec's static value; they are
-        // only valid if the instance carries exactly that value. The
-        // reference path encodes whatever the instance holds, so any
-        // divergence re-runs it wholesale (identical bytes or errors).
-        if (!static_equals(op, v)) return encode_fieldwalk_into(spec, instance, out);
-        continue;
-      }
-      if (auto st = encode_dynamic(spec, op, v, p); !st.ok()) return st;
+      // Template bytes hold the spec's static value; they stand only if
+      // the instance carries exactly that value. Anything else encodes
+      // what the instance holds, like a dynamic field.
+      if (op.in_template && static_equals(op, v)) continue;
+      if (auto st = encode_op(spec, op, v, p); !st.ok()) return st;
     }
   }
   return Status::success();
+}
+
+// Forced inline: decode_into's per-field loop is the hot decode path and
+// must not pay a call per field for sharing this with matches_key.
+[[gnu::always_inline]] inline void WireLayout::decode_op(const FieldOp& op, const std::byte* in,
+                                                        ta::Value& v) {
+  const std::byte* at = in + op.offset;
+  switch (op.kind) {
+    case OpKind::kBool: v = ta::Value{*at != std::byte{0}}; return;
+    case OpKind::kI8: v = ta::Value{sign_extend(load_be(at, 1), 1)}; return;
+    case OpKind::kI16: v = ta::Value{sign_extend(load_be(at, 2), 2)}; return;
+    case OpKind::kI32: v = ta::Value{sign_extend(load_be(at, 4), 4)}; return;
+    case OpKind::kI64: v = ta::Value{static_cast<std::int64_t>(load_be(at, 8))}; return;
+    case OpKind::kU8: v = ta::Value{static_cast<std::int64_t>(load_be(at, 1))}; return;
+    case OpKind::kU16: v = ta::Value{static_cast<std::int64_t>(load_be(at, 2))}; return;
+    case OpKind::kU32: v = ta::Value{static_cast<std::int64_t>(load_be(at, 4))}; return;
+    case OpKind::kU64: v = ta::Value{static_cast<std::int64_t>(load_be(at, 8))}; return;
+    case OpKind::kF32:
+      v = ta::Value{
+          static_cast<double>(std::bit_cast<float>(static_cast<std::uint32_t>(load_be(at, 4))))};
+      return;
+    case OpKind::kF64: v = ta::Value{std::bit_cast<double>(load_be(at, 8))}; return;
+    case OpKind::kString: {
+      std::string& s = v.mutable_string();
+      const char* chars = reinterpret_cast<const char*>(at);
+      const void* nul = std::memchr(chars, '\0', op.length);
+      s.assign(chars, nul ? static_cast<const char*>(nul) - chars : op.length);
+      return;
+    }
+  }
 }
 
 Status WireLayout::decode_into(const MessageSpec& spec, std::span<const std::byte> payload,
@@ -221,58 +279,25 @@ Status WireLayout::decode_into(const MessageSpec& spec, std::span<const std::byt
     if (ev.fields.size() != field_count) ev.fields.resize(field_count);
     for (std::uint32_t oi = elements_[ei].begin; oi < elements_[ei].end; ++oi) {
       const FieldOp& op = ops_[oi];
-      ta::Value& v = ev.fields[op.field];
-      switch (op.kind) {
-        case OpKind::kBool: v = ta::Value{p[op.offset] != std::byte{0}}; break;
-        case OpKind::kI8: v = ta::Value{sign_extend(load_be(p + op.offset, 1), 1)}; break;
-        case OpKind::kI16: v = ta::Value{sign_extend(load_be(p + op.offset, 2), 2)}; break;
-        case OpKind::kI32: v = ta::Value{sign_extend(load_be(p + op.offset, 4), 4)}; break;
-        case OpKind::kI64:
-          v = ta::Value{static_cast<std::int64_t>(load_be(p + op.offset, 8))};
-          break;
-        case OpKind::kU8: v = ta::Value{static_cast<std::int64_t>(load_be(p + op.offset, 1))}; break;
-        case OpKind::kU16: v = ta::Value{static_cast<std::int64_t>(load_be(p + op.offset, 2))}; break;
-        case OpKind::kU32: v = ta::Value{static_cast<std::int64_t>(load_be(p + op.offset, 4))}; break;
-        case OpKind::kU64: v = ta::Value{static_cast<std::int64_t>(load_be(p + op.offset, 8))}; break;
-        case OpKind::kF32:
-          v = ta::Value{static_cast<double>(
-              std::bit_cast<float>(static_cast<std::uint32_t>(load_be(p + op.offset, 4))))};
-          break;
-        case OpKind::kF64:
-          v = ta::Value{std::bit_cast<double>(load_be(p + op.offset, 8))};
-          break;
-        case OpKind::kString: {
-          std::string& s = v.mutable_string();
-          const char* chars = reinterpret_cast<const char*>(p + op.offset);
-          const void* nul = std::memchr(chars, '\0', op.length);
-          s.assign(chars, nul ? static_cast<const char*>(nul) - chars : op.length);
-          break;
-        }
-      }
+      decode_op(op, p, ev.fields[op.field]);
     }
   }
   scratch.set_trace(0, 0);
   return Status::success();
 }
 
-bool WireLayout::matches_key(const MessageSpec& spec, std::span<const std::byte> payload) const {
+bool WireLayout::matches_key(std::span<const std::byte> payload) const {
   if (payload.size() != wire_size_) return false;
   for (const FieldOp& op : ops_) {
     if (!op.key) continue;
     if (op.key_memcmp) {
-      std::size_t width = 1;
-      switch (op.kind) {
-        case OpKind::kI16: case OpKind::kU16: width = 2; break;
-        case OpKind::kI32: case OpKind::kU32: width = 4; break;
-        case OpKind::kI64: case OpKind::kU64: width = 8; break;
-        default: break;
-      }
-      if (std::memcmp(payload.data() + op.offset, template_.data() + op.offset, width) != 0)
+      if (std::memcmp(payload.data() + op.offset, template_.data() + op.offset,
+                      op_width(op.kind)) != 0)
         return false;
       continue;
     }
-    const FieldSpec& fs = spec.elements()[op.element].fields[op.field];
-    const ta::Value decoded = codec_detail::decode_field(payload, op.offset, fs);
+    ta::Value decoded;
+    decode_op(op, payload.data(), decoded);
     if (!(decoded == static_values_[op.static_idx])) return false;
   }
   return has_key_;

@@ -9,15 +9,14 @@
 // the same loop in reverse. No per-field FieldType switch over a sparse
 // enum, no per-byte push_back, no string hashing.
 //
-// Equivalence contract (pinned by wire_layout_property_test): for every
-// spec and instance/payload, the compiled path produces byte-identical
-// buffers, value-identical instances and string-identical Status errors
-// to the reference field-walk codec in message.cpp. Where the fast path
-// cannot prove equivalence locally -- an instance whose static-field
-// values differ from the spec's, a spec whose statics do not encode --
-// it falls back to the reference path instead of approximating it. The
-// on-error *content* of an encode output buffer is unspecified in both
-// paths (only Status is contractual).
+// The layout is total: it is the only codec. A static field is copied
+// from the template only when the template holds its bytes and the
+// instance carries exactly the spec's value; any other static (one that
+// did not pre-encode, or an instance value that differs) is encoded per
+// op like a dynamic field. Bytes, Status strings and thrown SpecErrors
+// are pinned against the pre-S29 field-walk codec, kept as a test
+// oracle (wire_layout_property_test). The on-error *content* of an
+// encode output buffer is unspecified (only Status is contractual).
 //
 // A WireLayout holds no pointers into its MessageSpec (indices and
 // copied static values only), so specs may be moved (e.g. vector
@@ -39,19 +38,19 @@ class MessageSpec;
 
 class WireLayout {
  public:
-  /// Flatten `spec` into an op table. Never fails: a spec whose static
-  /// fields cannot be encoded (wrong type / out of range) simply
-  /// compiles to a layout that always takes the reference path.
+  /// Flatten `spec` into an op table. Never fails: a static field that
+  /// cannot be encoded (wrong type / out of range) stays out of the
+  /// template and is encoded per op, reporting its error there.
   static WireLayout compile(const MessageSpec& spec);
 
-  /// Compiled counterparts of spec::encode_into / decode_into /
-  /// matches_key. `spec` must be the spec this layout was compiled
-  /// from (it is consulted for structural checks and cold error paths).
+  /// The codec behind spec::encode_into / decode_into / matches_key.
+  /// `spec` must be the spec this layout was compiled from (it is
+  /// consulted for structural checks and cold error paths).
   Status encode_into(const MessageSpec& spec, const MessageInstance& instance,
                      std::vector<std::byte>& out) const;
   Status decode_into(const MessageSpec& spec, std::span<const std::byte> payload,
                      MessageInstance& scratch) const;
-  bool matches_key(const MessageSpec& spec, std::span<const std::byte> payload) const;
+  bool matches_key(std::span<const std::byte> payload) const;
 
   std::size_t wire_size() const { return wire_size_; }
 
@@ -65,6 +64,9 @@ class WireLayout {
   struct FieldOp {
     OpKind kind = OpKind::kI32;
     bool is_static = false;
+    /// The template holds this static's encoded bytes (false when the
+    /// spec's static value does not encode).
+    bool in_template = false;
     /// matches_key: this static key field may be compared by memcmp
     /// against the template (sound only for in-range integer statics;
     /// booleans, strings and floats have non-injective encodings).
@@ -85,13 +87,27 @@ class WireLayout {
     std::uint32_t end = 0;
   };
 
+  /// Wire bytes of a scalar op (kString: unused, see FieldOp::length).
+  static constexpr std::size_t op_width(OpKind kind) {
+    switch (kind) {
+      case OpKind::kI16: case OpKind::kU16: return 2;
+      case OpKind::kI32: case OpKind::kU32: case OpKind::kF32: return 4;
+      case OpKind::kI64: case OpKind::kU64: case OpKind::kF64: return 8;
+      default: return 1;
+    }
+  }
+
   bool static_equals(const FieldOp& op, const ta::Value& v) const;
 
-  Status encode_dynamic(const MessageSpec& spec, const FieldOp& op, const ta::Value& v,
-                        std::byte* out) const;
+  /// Encode `v` at op's offset into `out`: the same bytes, Status text
+  /// or thrown SpecError as the field-walk codec for that field.
+  static Status encode_op(const MessageSpec& spec, const FieldOp& op, const ta::Value& v,
+                          std::byte* out);
+  /// Overwrite `v` with the field at op's offset of `in` (string
+  /// capacity is reused).
+  static void decode_op(const FieldOp& op, const std::byte* in, ta::Value& v);
 
   std::size_t wire_size_ = 0;
-  bool statics_encodable_ = true;  // false: encode always field-walks
   bool has_key_ = false;
   std::vector<FieldOp> ops_;               // all fields, declaration order
   std::vector<ElementRange> elements_;     // parallel to spec elements

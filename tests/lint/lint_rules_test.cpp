@@ -431,16 +431,45 @@ TEST(LintDl006, WarnsOnUnboundedEventInput) {
 }
 
 // -- DL011: event-queue sizing vs live-runtime ring capacity ---------------
+//
+// Ring sizes below are ones the runtime builds (powers of two >= 4096,
+// rt/framing.hpp); msgwheel is 14 wire bytes, 24 bytes framed, so a
+// 4096-byte ring buffers 170 of its frames.
 
-/// rt/ring.hpp framing, restated: 4-byte length prefix, 8-byte aligned.
-std::size_t framed(std::size_t payload) { return (4 + payload + 7) & ~std::size_t{7}; }
+/// Event producer of one message whose payload element is a string
+/// sized so the whole message is `wire_bytes` on the wire.
+spec::LinkSpec wide_event_producer(std::size_t wire_bytes) {
+  spec::MessageSpec ms{"msgwide"};
+  spec::ElementSpec key;
+  key.name = "name";
+  key.key = true;
+  key.fields.push_back(spec::FieldSpec{"id", spec::FieldType::kInt16, 0, ta::Value{100}});
+  ms.add_element(std::move(key));
+  spec::ElementSpec payload;
+  payload.name = "wheelspeed";
+  payload.convertible = true;
+  payload.fields.push_back(
+      spec::FieldSpec{"blob", spec::FieldType::kString, wire_bytes - 2, std::nullopt});
+  ms.add_element(std::move(payload));
+  spec::LinkSpec ls{"powertrain"};
+  ls.add_message(std::move(ms));
+  spec::PortSpec ps;
+  ps.message = "msgwide";
+  ps.direction = spec::DataDirection::kInput;
+  ps.semantics = spec::InfoSemantics::kEvent;
+  ps.paradigm = spec::ControlParadigm::kEventTriggered;
+  ps.min_interarrival = 1_ms;
+  ps.max_interarrival = 100_ms;
+  ps.queue_capacity = 16;
+  ls.add_port(ps);
+  return ls;
+}
 
 TEST(LintDl011, NotesWhenRingBuffersFewerFramesThanQueueDemands) {
   const auto a = event_producer();
   const auto b = tt_event_consumer(10_ms);
-  GatewayModel model = event_chain_model(a, b, 16);
-  const std::size_t frame = framed(a.message("msgwheel")->wire_size());
-  model.transport_ring_bytes = frame * 8;  // 8 frames buffered, 16 provisioned
+  GatewayModel model = event_chain_model(a, b, 256);  // 256 provisioned, 170 buffered
+  model.transport_ring_bytes = 4096;
   const Report report = lint_gateway(model);
   EXPECT_TRUE(report.has(kRuleRingCapacity)) << report.format();
   EXPECT_FALSE(has_error(report, kRuleRingCapacity)) << report.format();
@@ -450,20 +479,54 @@ TEST(LintDl011, AdequateRingStaysClean) {
   const auto a = event_producer();
   const auto b = tt_event_consumer(10_ms);
   GatewayModel model = event_chain_model(a, b, 16);
-  model.transport_ring_bytes = framed(a.message("msgwheel")->wire_size()) * 64;
+  model.transport_ring_bytes = 4096;
   const Report report = lint_gateway(model);
   EXPECT_FALSE(report.has(kRuleRingCapacity)) << report.format();
 }
 
 TEST(LintDl011, NotesFrameLargerThanRingQuarter) {
-  const auto a = event_producer();
-  const auto b = tt_event_consumer(10_ms);
-  GatewayModel model = event_chain_model(a, b, 16);
-  // The ring rejects frames above capacity/4; a ring of two frames
-  // cannot carry msgwheel at all.
-  model.transport_ring_bytes = framed(a.message("msgwheel")->wire_size()) * 2;
+  // The ring rejects payloads above capacity/4: 1025 bytes never fit a
+  // 4096-byte ring.
+  const auto a = wide_event_producer(1025);
+  const auto b = tt_event_consumer(2_ms);
+  GatewayModel model = event_chain_model(a, b, 2);
+  model.transport_ring_bytes = 4096;
   const Report report = lint_gateway(model);
-  EXPECT_TRUE(report.has(kRuleRingCapacity)) << report.format();
+  ASSERT_TRUE(report.has(kRuleRingCapacity)) << report.format();
+  EXPECT_NE(report.format().find("can never carry"), std::string::npos) << report.format();
+}
+
+TEST(LintDl011, PayloadOfAQuarterRingFits) {
+  // The ring compares the *payload* with capacity/4 (1032 bytes framed
+  // still fit): try_push accepts 1024 bytes on a 4096-byte ring, which
+  // buffers 3 such frames, enough for a queue of 2.
+  const auto a = wide_event_producer(1024);
+  const auto b = tt_event_consumer(2_ms);
+  GatewayModel model = event_chain_model(a, b, 2);
+  model.transport_ring_bytes = 4096;
+  const Report report = lint_gateway(model);
+  EXPECT_FALSE(report.has(kRuleRingCapacity)) << report.format();
+}
+
+TEST(LintDl011, JudgesTheRoundedUpRing) {
+  // --ring-capacity 5000 builds an 8192-byte ring: a 1500-byte payload
+  // fits (limit 2048, not 1250) and 5 framed copies are buffered (not 3).
+  const auto a = wide_event_producer(1500);
+  const auto b = tt_event_consumer(4_ms);
+  GatewayModel model = event_chain_model(a, b, 4);
+  model.transport_ring_bytes = 5000;
+  Report report = lint_gateway(model);
+  EXPECT_FALSE(report.has(kRuleRingCapacity)) << report.format();
+
+  // A queue of 8 outgrows the 5 frames the 8192-byte ring buffers.
+  const auto c = tt_event_consumer(8_ms);
+  model = event_chain_model(a, c, 8);
+  model.transport_ring_bytes = 5000;
+  report = lint_gateway(model);
+  ASSERT_TRUE(report.has(kRuleRingCapacity)) << report.format();
+  EXPECT_NE(report.format().find("ingress ring (8192 bytes) buffers at most 5 frames"),
+            std::string::npos)
+      << report.format();
 }
 
 TEST(LintDl011, SilentWithoutRuntimeContext) {
@@ -500,6 +563,21 @@ TEST(LintVn, RejectsIncommensurablePeriod) {
   vn.add_link(std::move(link));
   const Report report = lint_virtual_network(vn);
   EXPECT_TRUE(has_error(report, kRulePorts)) << report.format();
+}
+
+TEST(LintVn, UnknownPortMessageIsDl000NotACrash) {
+  spec::VirtualNetworkSpec vn{"vn-test", spec::ControlParadigm::kTimeTriggered};
+  vn.set_allocation(64, 10_ms);
+  spec::LinkSpec link{"powertrain"};
+  link.add_message(state_message("msgwheel", "wheelspeed", 100));
+  spec::PortSpec out = tt_input("msgghost", 10_ms);  // no such message
+  out.direction = spec::DataDirection::kOutput;
+  link.add_port(out);
+  vn.add_link(std::move(link));
+  tt::TdmaSchedule schedule{10_ms};
+  schedule.add_slot({0_ms, 1_ms, 1, 1, 64});
+  const Report report = lint_virtual_network(vn, &schedule, 1);
+  EXPECT_TRUE(has_error(report, "DL000")) << report.format();
 }
 
 TEST(LintVn, AcceptsDivisiblePeriods) {

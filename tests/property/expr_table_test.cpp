@@ -36,6 +36,13 @@ struct ExprCase {
   double expected;  // numeric result (bools as 0/1)
 };
 
+// Print the case by value. Without this, gtest prints the raw bytes of the
+// struct, pointer included, and CTest's discovered test names change with
+// every build and every address-space layout.
+void PrintTo(const ExprCase& c, std::ostream* os) {
+  *os << c.text << " -> " << c.expected;
+}
+
 class ExprTable : public ::testing::TestWithParam<ExprCase> {};
 
 TEST_P(ExprTable, EvaluatesTo) {

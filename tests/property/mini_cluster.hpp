@@ -7,7 +7,7 @@
 // RunArtifacts value the callers compare for *identity*:
 //
 //   partitioned_lockstep_test      varies --sim-jobs          (S28)
-//   batched_dispatch_lockstep_test varies GatewayConfig       (S29)
+//   batched_dispatch_lockstep_test pins a per-instance golden (S29)
 #pragma once
 
 #include <memory>
@@ -116,8 +116,7 @@ inline std::string deterministic_lines(const std::string& stream) {
   return out.str();
 }
 
-inline RunArtifacts run_mini_cluster(std::uint64_t seed, std::size_t sim_jobs,
-                                     core::GatewayConfig gateway_config = {}) {
+inline RunArtifacts run_mini_cluster(std::uint64_t seed, std::size_t sim_jobs) {
   Rng rng{seed};
   constexpr std::size_t kNodes = kIslands * kIslandNodes;
   constexpr std::size_t kPairs = kIslands * kPairsPerIsland;
@@ -182,7 +181,7 @@ inline RunArtifacts run_mini_cluster(std::uint64_t seed, std::size_t sim_jobs,
     link_b.add_message(state_message("msgB" + tag, "img", 2));
     link_b.add_port(output_port("msgB" + tag));
     gateways.push_back(std::make_unique<core::VirtualGateway>("gw" + tag, std::move(link_a),
-                                                              std::move(link_b), gateway_config));
+                                                              std::move(link_b)));
     auto& gw = *gateways.back();
     gw.finalize();
     gw.bind_observability(cluster.simulator());

@@ -1,10 +1,12 @@
 // Equivalence property of the compiled wire layout (S29): for arbitrary
 // generated message specs -- static fields of every type, strings,
-// key elements -- the compiled WireLayout path behind encode_into /
-// decode_into / matches_key must be indistinguishable from the
-// field-walk reference codec: byte-identical buffers, value-identical
-// decoded instances, string-identical Status errors, and identical
-// matches_key verdicts, on well-formed and malformed inputs alike.
+// key elements, statics that do not encode -- the WireLayout codec
+// behind encode_into / decode_into / matches_key must be
+// indistinguishable from the pre-S29 field-walk codec it replaced
+// (tests/oracle/fieldwalk_codec.hpp): byte-identical buffers,
+// value-identical decoded instances, string-identical Status errors and
+// thrown exceptions, and identical matches_key verdicts, on well-formed
+// and malformed inputs alike.
 #include <gtest/gtest.h>
 
 #include <cstddef>
@@ -12,15 +14,44 @@
 #include <string>
 #include <vector>
 
+#include "../oracle/fieldwalk_codec.hpp"
 #include "spec/message.hpp"
 #include "util/rng.hpp"
 
 namespace decos::spec {
 namespace {
 
+using oracle::decode_fieldwalk_into;
+using oracle::encode_fieldwalk_into;
+using oracle::matches_key_fieldwalk;
+
+/// A static value that `fs` cannot encode: out of range for its width,
+/// the wrong value kind (the codec throws or fails), or an overlong
+/// string.
+ta::Value unencodable_static(Rng& rng, const FieldSpec& fs) {
+  const std::int64_t excess = rng.uniform_int(1, 1000);
+  if (fs.type == FieldType::kString) {
+    if (rng.bernoulli(0.5)) return ta::Value{std::string(fs.string_length + 1, 'q')};
+    return ta::Value{excess};  // not a string
+  }
+  if (rng.bernoulli(0.25)) return ta::Value{std::string{"not-a-number"}};
+  switch (fs.type) {
+    case FieldType::kInt8: return ta::Value{rng.bernoulli(0.5) ? 127 + excess : -128 - excess};
+    case FieldType::kInt16: return ta::Value{32767 + excess};
+    case FieldType::kInt32: return ta::Value{-excess - 2147483648};
+    case FieldType::kUInt8: return ta::Value{255 + excess};
+    case FieldType::kUInt16: return ta::Value{rng.bernoulli(0.5) ? 65535 + excess : -excess};
+    case FieldType::kUInt32: return ta::Value{excess + 4294967295};
+    case FieldType::kUInt64: return ta::Value{-excess};
+    default: return ta::Value{std::string{"not-a-number"}};  // no out-of-range value exists
+  }
+}
+
 /// Random valid MessageSpec: a static key element plus 1-3 payload
 /// elements whose fields are randomly static (all types) or dynamic.
-MessageSpec random_spec(Rng& rng, int id) {
+/// With `unencodable`, half the statics and one extra field of the
+/// first payload element carry values their field cannot encode.
+MessageSpec random_spec(Rng& rng, int id, bool unencodable = false) {
   MessageSpec ms{"m" + std::to_string(id)};
   ElementSpec key;
   key.name = "name";
@@ -29,6 +60,8 @@ MessageSpec random_spec(Rng& rng, int id) {
   if (rng.bernoulli(0.5)) {
     // Multi-field keys exercise the memcmp key ops beyond the id.
     key.fields.push_back(FieldSpec{"tag", FieldType::kInt8, 0, ta::Value{rng.uniform_int(-5, 5)}});
+    if (unencodable && rng.bernoulli(0.5))
+      key.fields.back().static_value = unencodable_static(rng, key.fields.back());
   }
   ms.add_element(std::move(key));
 
@@ -79,21 +112,32 @@ MessageSpec random_spec(Rng& rng, int id) {
             break;
           }
         }
+        if (unencodable && rng.bernoulli(0.5)) fs.static_value = unencodable_static(rng, fs);
       }
       es.fields.push_back(std::move(fs));
+    }
+    if (unencodable && e == 0) {
+      FieldSpec bad;
+      bad.name = "bad";
+      bad.type = kTypes[rng.uniform_int(0, 12)];
+      if (bad.type == FieldType::kString)
+        bad.string_length = static_cast<std::size_t>(rng.uniform_int(1, 12));
+      bad.static_value = unencodable_static(rng, bad);
+      es.fields.push_back(std::move(bad));
     }
     ms.add_element(std::move(es));
   }
   return ms;
 }
 
-/// Random in-range values for the dynamic fields.
-void randomize(MessageInstance& inst, const MessageSpec& ms, Rng& rng) {
+/// Random in-range values for the dynamic fields (and, with `statics`,
+/// for the statics of non-key elements too, overriding the spec's).
+void randomize(MessageInstance& inst, const MessageSpec& ms, Rng& rng, bool statics = false) {
   for (std::size_t ei = 0; ei < ms.elements().size(); ++ei) {
     const ElementSpec& es = ms.elements()[ei];
     for (std::size_t fi = 0; fi < es.fields.size(); ++fi) {
       const FieldSpec& fs = es.fields[fi];
-      if (fs.is_static()) continue;
+      if (fs.is_static() && (!statics || es.key)) continue;
       ta::Value& v = inst.elements()[ei].fields[fi];
       switch (fs.type) {
         case FieldType::kBoolean: v = ta::Value{rng.bernoulli(0.5)}; break;
@@ -325,10 +369,10 @@ TEST_P(WireLayoutEquivalence, StaticMismatchFallsBackBitIdentically) {
     randomize(inst, ms, rng);
 
     // Mutate one static field of the instance away from the spec's
-    // value: the compiled template no longer applies and the layout must
-    // take its wholesale field-walk fallback -- equivalence holds either
-    // way, whatever the reference decides (encode the instance's value
-    // or fail).
+    // value: the template bytes no longer apply and the layout encodes
+    // that op from the instance -- equivalence holds either way,
+    // whatever the field walk decides (encode the instance's value or
+    // fail).
     std::vector<std::pair<std::size_t, std::size_t>> statics;
     for (std::size_t ei = 0; ei < ms.elements().size(); ++ei)
       for (std::size_t fi = 0; fi < ms.elements()[ei].fields.size(); ++fi)
@@ -357,6 +401,52 @@ TEST_P(WireLayoutEquivalence, StaticMismatchFallsBackBitIdentically) {
       w = w.is_real() ? ta::Value{static_cast<std::int64_t>(w.as_real())}
                       : ta::Value{static_cast<double>(w.as_int())};
       expect_encode_equivalent(ms, crosskind, "cross-kind static");
+    }
+  }
+}
+
+TEST_P(WireLayoutEquivalence, UnencodableStaticsMatchTheFieldWalk) {
+  // Statics the template cannot hold: every one is encoded per op, so
+  // the error (Status or thrown SpecError) surfaces at the same field
+  // as in the field walk, and an instance that overrides such a static
+  // with a valid value encodes to the field walk's bytes.
+  Rng rng{GetParam() + 4242};
+  for (int iteration = 0; iteration < 40; ++iteration) {
+    const MessageSpec ms =
+        random_spec(rng, static_cast<int>(rng.uniform_int(0, 1000)), /*unencodable=*/true);
+    ASSERT_TRUE(ms.validate().ok());
+    MessageInstance inst = make_instance(ms);  // carries the unencodable statics
+    randomize(inst, ms, rng);
+    expect_encode_equivalent_or_throw(ms, inst, "unencodable static");
+
+    // Give the statics valid values: random ones outside the key, and
+    // in the key only where the spec's value does not encode (the others
+    // keep it, so the payload below can still match its key).
+    MessageInstance overridden = make_instance(ms);
+    randomize(overridden, ms, rng, /*statics=*/true);
+    const ElementSpec& key = ms.elements().front();
+    for (std::size_t fi = 0; fi < key.fields.size(); ++fi) {
+      std::vector<std::byte> scratch;
+      bool encodes = false;
+      try {
+        encodes = oracle::encode_field(scratch, key.fields[fi], *key.fields[fi].static_value).ok();
+      } catch (const SpecError&) {
+      }
+      if (!encodes) overridden.elements().front().fields[fi] = ta::Value{std::int64_t{0}};
+    }
+    expect_encode_equivalent_or_throw(ms, overridden, "statics overridden with valid values");
+    std::vector<std::byte> bytes;
+    ASSERT_TRUE(encode_fieldwalk_into(ms, overridden, bytes).ok());
+
+    // Decode and key matching on that payload and under byte mutation;
+    // a key static that does not encode can never match.
+    expect_decode_equivalent(ms, bytes, "payload of an unencodable spec");
+    EXPECT_EQ(matches_key(ms, bytes), matches_key_fieldwalk(ms, bytes));
+    for (std::size_t i = 0; i < bytes.size(); ++i) {
+      std::vector<std::byte> mutated = bytes;
+      mutated[i] ^= std::byte{0xFF};
+      EXPECT_EQ(matches_key(ms, mutated), matches_key_fieldwalk(ms, mutated))
+          << "mutated byte " << i;
     }
   }
 }

@@ -103,10 +103,10 @@ TEST(SpscRing, ConsumeHonorsMaxFrames) {
 }
 
 TEST(SpscRing, CapacityRoundsUpToPowerOfTwo) {
-  EXPECT_EQ(SpscRing::round_capacity(1), SpscRing::kMinCapacity);
-  EXPECT_EQ(SpscRing::round_capacity(4096), 4096u);
-  EXPECT_EQ(SpscRing::round_capacity(4097), 8192u);
-  EXPECT_EQ(SpscRing::round_capacity(1 << 20), std::size_t{1} << 20);
+  EXPECT_EQ(round_capacity(1), kMinCapacity);
+  EXPECT_EQ(round_capacity(4096), 4096u);
+  EXPECT_EQ(round_capacity(4097), 8192u);
+  EXPECT_EQ(round_capacity(1 << 20), std::size_t{1} << 20);
 }
 
 TEST(ShmRing, CreateOpenRoundTrip) {

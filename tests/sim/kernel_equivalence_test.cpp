@@ -1,7 +1,7 @@
 // Property test: the production kernel (timer wheel + pooled typed
 // nodes, sim/event_queue.hpp) must dispatch exactly like the reference
 // kernel it replaced (binary heap + unordered_map, preserved verbatim in
-// sim/reference_kernel.hpp). Randomized schedules drive both in
+// tests/oracle/reference_kernel.hpp). Randomized schedules drive both in
 // lockstep -- one-shots, same-instant ties, cancels (including from
 // inside handlers), nested scheduling and self-timed chains -- across
 // wheel resolutions from 1 ns to 1 ms (events land in the same bucket at
@@ -14,7 +14,7 @@
 #include <string>
 #include <vector>
 
-#include "sim/reference_kernel.hpp"
+#include "../oracle/reference_kernel.hpp"
 #include "sim/simulator.hpp"
 
 namespace decos::sim {
