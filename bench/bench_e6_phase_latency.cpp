@@ -187,21 +187,22 @@ int main(int argc, char** argv) {
     // In-process phase breakdown over the very spans the trace dump
     // carries: decotrace over --trace-out must reproduce these numbers
     // exactly (same records, two readers).
-    const obs::Breakdown breakdown = obs::phase_breakdown(harness.captured_spans());
+    const std::vector<obs::FlowHealth> flows = obs::phase_breakdown(harness.captured_spans());
     row("");
     row("per-phase latency percentiles (traced cells, ns):");
-    for (const auto& [flow, stats] : breakdown) {
-      row("%s  (%zu traces)", flow.c_str(), stats.traces);
+    for (const obs::FlowHealth& flow : flows) {
+      row("%s  (%llu traces)", flow.flow.c_str(), static_cast<unsigned long long>(flow.traces));
       for (const char* phase : obs::kBreakdownPhases) {
-        const auto it = stats.phases.find(phase);
-        if (it == stats.phases.end() || it->second.empty()) continue;
-        row("  %-10s n=%-6zu p50=%-12lld p99=%-12lld max=%lld", phase, it->second.count(),
+        const auto it = flow.phases.find(phase);
+        if (it == flow.phases.end() || it->second.n == 0) continue;
+        row("  %-10s n=%-6llu p50=%-12lld p99=%-12lld max=%lld", phase,
+            static_cast<unsigned long long>(it->second.n),
             static_cast<long long>(it->second.percentile(0.50)),
             static_cast<long long>(it->second.percentile(0.99)),
-            static_cast<long long>(it->second.max()));
+            static_cast<long long>(it->second.max_ns));
       }
     }
-    harness.set_json("phase_breakdown", obs::breakdown_to_json(breakdown));
+    harness.set_json("phase_breakdown", obs::flows_to_json(flows));
   }
   return 0;
 }

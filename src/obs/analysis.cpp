@@ -2,135 +2,170 @@
 
 #include <algorithm>
 #include <unordered_map>
+#include <utility>
 
 namespace decos::obs {
 
-void LatencySet::ensure_sorted() const {
-  if (!sorted_) {
-    std::sort(samples_.begin(), samples_.end());
-    sorted_ = true;
-  }
+TraceFold::TraceFold(const Span& root) : root_name_{root.name}, root_start_{root.start} {
+  add(root);
 }
 
-std::int64_t LatencySet::min() const {
-  if (samples_.empty()) return 0;
-  ensure_sorted();
-  return samples_.front();
-}
-
-std::int64_t LatencySet::max() const {
-  if (samples_.empty()) return 0;
-  ensure_sorted();
-  return samples_.back();
-}
-
-double LatencySet::mean() const {
-  if (samples_.empty()) return 0.0;
-  double sum = 0.0;
-  for (const std::int64_t s : samples_) sum += static_cast<double>(s);
-  return sum / static_cast<double>(samples_.size());
-}
-
-std::int64_t LatencySet::percentile(double p) const {
-  if (samples_.empty()) return 0;
-  ensure_sorted();
-  if (p <= 0.0) return samples_.front();
-  if (p >= 1.0) return samples_.back();
-  // Nearest-rank (ceil) on the sorted samples.
-  const auto rank =
-      static_cast<std::size_t>(p * static_cast<double>(samples_.size()) + 0.999999);
-  const std::size_t index = rank == 0 ? 0 : rank - 1;
-  return samples_[std::min(index, samples_.size() - 1)];
-}
-
-Breakdown phase_breakdown(const std::vector<Span>& spans) {
-  // Bucket spans per trace, preserving emission (= causal) order.
-  std::unordered_map<std::uint64_t, std::vector<const Span*>> traces;
-  std::vector<std::uint64_t> order;  // deterministic traversal
-  for (const Span& s : spans) {
-    if (s.trace_id == 0) continue;
-    auto [it, inserted] = traces.try_emplace(s.trace_id);
-    if (inserted) order.push_back(s.trace_id);
-    it->second.push_back(&s);
-  }
-
-  Breakdown breakdown;
-  for (const std::uint64_t trace_id : order) {
-    std::vector<const Span*>& chain = traces[trace_id];
-    std::sort(chain.begin(), chain.end(),
-              [](const Span* a, const Span* b) { return a->span_id < b->span_id; });
-
-    const Span* root = chain.front();
-
-    // First-delivery pipeline landmarks, in causal (span id) order. A TT
-    // state port re-sends its freshest instance every round, so one trace
-    // accumulates bus/dissect/construct/deliver spans per round; the
-    // phase breakdown measures the *first* completion of each stage --
-    // the latency until the information reached the other side -- which
-    // matches what the latency benches measure in-process.
-    const Span* construct = nullptr;  // first construction in the trace
-    for (const Span* s : chain) {
-      if (s->phase == Phase::kConstruct) {
-        construct = s;
-        break;
+bool TraceFold::add(const Span& s) {
+  last_name_ = s.name;
+  last_end_ = s.end;
+  switch (s.phase) {
+    case Phase::kSend:
+      break;
+    case Phase::kBus:
+      if (!seen_.bus_end) seen_.bus_end = s.end;
+      break;
+    case Phase::kDissect:
+      if (!seen_.dissect_end) seen_.dissect_end = s.end;
+      break;
+    case Phase::kRepoWait:
+      if (!construct_end_ && (!seen_.repo_end || s.duration() > seen_.repo_longest)) {
+        seen_.repo_end = s.end;
+        seen_.repo_longest = s.duration();
       }
-    }
-
-    const Span* first_bus = nullptr;
-    const Span* dissect = nullptr;
-    const Span* repo_longest = nullptr;  // longest element wait before construction
-    const Span* deliver = nullptr;       // first delivery after construction
-    for (const Span* s : chain) {
-      switch (s->phase) {
-        case Phase::kBus:
-          if (first_bus == nullptr) first_bus = s;
-          break;
-        case Phase::kDissect:
-          if (dissect == nullptr) dissect = s;
-          break;
-        case Phase::kRepoWait:
-          if ((construct == nullptr || s->span_id < construct->span_id) &&
-              (repo_longest == nullptr || s->duration() > repo_longest->duration()))
-            repo_longest = s;
-          break;
-        case Phase::kConstruct:
-          break;
-        case Phase::kDeliver:
-          // Deliveries into the gateway's own input port precede the
-          // construction span; the end-to-end delivery follows it. In a
-          // gateway-less trace the first delivery is the end-to-end one.
-          if (deliver == nullptr &&
-              (construct == nullptr || s->span_id > construct->span_id))
-            deliver = s;
-          break;
-        case Phase::kSend:
-          break;
+      break;
+    case Phase::kConstruct:
+      if (!construct_end_) {
+        construct_end_ = s.end;
+        deliver_end_.reset();  // an earlier delivery fed the gateway, not the consumer
       }
-      if (deliver != nullptr) break;  // pipeline complete
-    }
+      break;
+    case Phase::kDeliver:
+      if (construct_end_ || !deliver_end_) {
+        deliver_end_ = s.end;
+        deliver_name_ = s.name;
+        at_deliver_ = seen_;
+      }
+      return construct_end_.has_value();
+  }
+  return false;
+}
 
-    const Span* last = deliver != nullptr ? deliver : chain.back();
-    std::string key = symbol_name(root->name);
-    if (last->name != root->name) key += "->" + symbol_name(last->name);
+TraceFold::Sample TraceFold::finish() const {
+  // A delivery without a construction ends the trace where it arrived.
+  const Landmarks& lm = deliver_end_ && !construct_end_ ? at_deliver_ : seen_;
+  Sample out;
+  out.root = root_name_;
+  out.terminal = deliver_end_ ? deliver_name_ : last_name_;
+  out.end = deliver_end_ ? *deliver_end_ : last_end_;
+  auto& phase = out.phase;
+  phase[kTotalPhase] = (out.end - root_start_).ns();
+  if (lm.bus_end) phase[0] = (*lm.bus_end - root_start_).ns();
+  if (lm.bus_end && lm.dissect_end) phase[1] = (*lm.dissect_end - *lm.bus_end).ns();
+  if (lm.repo_end) phase[2] = lm.repo_longest.ns();
+  if (lm.repo_end && construct_end_) phase[3] = (*construct_end_ - *lm.repo_end).ns();
+  if (deliver_end_ && construct_end_)
+    phase[4] = (*deliver_end_ - *construct_end_).ns();
+  else if (deliver_end_ && lm.bus_end)
+    phase[4] = (*deliver_end_ - *lm.bus_end).ns();
+  return out;
+}
 
-    FlowStats& flow = breakdown[key];
+std::string flow_key(Symbol root, Symbol terminal) {
+  std::string key = symbol_name(root);
+  if (terminal != root) {
+    key += "->";
+    key += symbol_name(terminal);
+  }
+  return key;
+}
+
+void FlowHealth::PhaseAgg::add(std::int64_t v) {
+  if (n == 0 || v < min_ns) min_ns = v;
+  if (n == 0 || v > max_ns) max_ns = v;
+  ++n;
+  sum_ns += v;
+  ++values[v];
+}
+
+std::int64_t FlowHealth::PhaseAgg::percentile(double p) const {
+  if (n == 0) return 0;
+  if (p <= 0.0) return min_ns;
+  if (p >= 1.0) return max_ns;
+  // Nearest-rank (ceil) over the run-length samples.
+  std::uint64_t total = 0;
+  for (const auto& [value, count] : values) total += count;
+  if (total == 0) return max_ns;
+  auto rank = static_cast<std::uint64_t>(p * static_cast<double>(total) + 0.999999);
+  rank = std::clamp<std::uint64_t>(rank, 1, total);
+  std::uint64_t cumulative = 0;
+  for (const auto& [value, count] : values) {
+    cumulative += count;
+    if (cumulative >= rank) return value;
+  }
+  return max_ns;
+}
+
+std::vector<FlowHealth> phase_breakdown(const std::vector<Span>& spans) {
+  std::vector<const Span*> order;
+  order.reserve(spans.size());
+  for (const Span& s : spans)
+    if (s.trace_id != 0) order.push_back(&s);
+  std::sort(order.begin(), order.end(), [](const Span* a, const Span* b) {
+    return a->trace_id != b->trace_id ? a->trace_id < b->trace_id : a->span_id < b->span_id;
+  });
+
+  std::map<std::string, FlowHealth> flows;
+  for (std::size_t begin = 0, end = 0; begin < order.size(); begin = end) {
+    end = begin + 1;
+    while (end < order.size() && order[end]->trace_id == order[begin]->trace_id) ++end;
+    if (order[begin]->parent_id != 0) continue;  // root evicted: no sample
+    TraceFold fold{*order[begin]};
+    for (std::size_t i = begin + 1; i < end; ++i)
+      if (fold.add(*order[i])) break;
+    const TraceFold::Sample sample = fold.finish();
+    FlowHealth& flow = flows[flow_key(sample.root, sample.terminal)];
     ++flow.traces;
-    flow.phases["total"].add(last->end - root->start);
-    if (first_bus != nullptr) flow.phases["ingress"].add(first_bus->end - root->start);
-    if (dissect != nullptr && first_bus != nullptr)
-      flow.phases["dissect"].add(dissect->end - first_bus->end);
-    if (repo_longest != nullptr) flow.phases["repo_wait"].add(repo_longest->duration());
-    if (construct != nullptr && repo_longest != nullptr)
-      flow.phases["construct"].add(construct->end - repo_longest->end);
-    if (deliver != nullptr) {
-      if (construct != nullptr) {
-        flow.phases["delivery"].add(deliver->end - construct->end);
-      } else if (first_bus != nullptr) {
-        flow.phases["delivery"].add(deliver->end - first_bus->end);
-      }
-    }
+    for (std::size_t i = 0; i < sample.phase.size(); ++i)
+      if (sample.phase[i]) flow.phases[kBreakdownPhases[i]].add(*sample.phase[i]);
   }
-  return breakdown;
+  std::vector<FlowHealth> out;
+  out.reserve(flows.size());
+  for (auto& [key, flow] : flows) {
+    flow.flow = key;
+    out.push_back(std::move(flow));
+  }
+  return out;
+}
+
+json::Value flows_to_json(const std::vector<FlowHealth>& flows) {
+  json::Array out;
+  for (const FlowHealth& f : flows) {
+    json::Object o;
+    o.emplace_back("flow", f.flow);
+    o.emplace_back("traces", f.traces);
+    if (f.deadline_ns >= 0) {
+      o.emplace_back("deadline_ns", f.deadline_ns);
+      o.emplace_back("deadline_miss", f.deadline_miss);
+    }
+    if (f.bound_ns >= 0) {
+      o.emplace_back("bound_ns", f.bound_ns);
+      o.emplace_back("bound_miss", f.bound_miss);
+    }
+    json::Object phases;
+    for (const char* phase : kBreakdownPhases) {
+      const auto it = f.phases.find(phase);
+      if (it == f.phases.end() || it->second.n == 0) continue;
+      const FlowHealth::PhaseAgg& agg = it->second;
+      json::Object p;
+      p.emplace_back("n", agg.n);
+      p.emplace_back("exact", agg.exact());
+      p.emplace_back("min_ns", agg.min_ns);
+      p.emplace_back("p50_ns", agg.percentile(0.50));
+      p.emplace_back("p90_ns", agg.percentile(0.90));
+      p.emplace_back("p99_ns", agg.percentile(0.99));
+      p.emplace_back("max_ns", agg.max_ns);
+      p.emplace_back("mean_ns", agg.mean());
+      phases.emplace_back(phase, std::move(p));
+    }
+    o.emplace_back("phases", std::move(phases));
+    out.push_back(json::Value{std::move(o)});
+  }
+  return json::Value{std::move(out)};
 }
 
 ContainmentSummary containment_summary(
@@ -163,33 +198,6 @@ ContainmentSummary containment_summary(
     }
   }
   return summary;
-}
-
-json::Value breakdown_to_json(const Breakdown& breakdown) {
-  json::Array flows;
-  for (const auto& [key, flow] : breakdown) {
-    json::Object o;
-    o.emplace_back("flow", key);
-    o.emplace_back("traces", flow.traces);
-    json::Object phases;
-    for (const char* phase : kBreakdownPhases) {
-      const auto it = flow.phases.find(phase);
-      if (it == flow.phases.end() || it->second.empty()) continue;
-      const LatencySet& set = it->second;
-      json::Object p;
-      p.emplace_back("n", set.count());
-      p.emplace_back("min_ns", set.min());
-      p.emplace_back("p50_ns", set.percentile(0.50));
-      p.emplace_back("p90_ns", set.percentile(0.90));
-      p.emplace_back("p99_ns", set.percentile(0.99));
-      p.emplace_back("max_ns", set.max());
-      p.emplace_back("mean_ns", set.mean());
-      phases.emplace_back(phase, std::move(p));
-    }
-    o.emplace_back("phases", std::move(phases));
-    flows.push_back(json::Value{std::move(o)});
-  }
-  return json::Value{std::move(flows)};
 }
 
 json::Value containment_to_json(const ContainmentSummary& summary) {

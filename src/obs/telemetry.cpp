@@ -6,7 +6,6 @@
 #include <istream>
 #include <ostream>
 
-#include "obs/analysis.hpp"
 #include "obs/json.hpp"
 
 namespace decos::obs {
@@ -65,7 +64,9 @@ void OstreamTelemetrySink::write_line(std::string_view line) {
 }
 
 // ---------------------------------------------------------------------
-// WindowAggregator
+// WindowAggregator: per-trace landmark state is the TraceFold in each
+// open-trace slot (obs/analysis); this class only routes spans to slots,
+// books finished traces into flow windows and serializes them.
 
 WindowAggregator::WindowAggregator(MetricsRegistry* metrics, const TraceCollector* collector,
                                    TelemetryConfig config)
@@ -151,11 +152,7 @@ WindowAggregator::FlowState& WindowAggregator::flow_for(Symbol root, Symbol last
   const auto it = flow_index_.find(key);
   if (it != flow_index_.end()) return flows_[it->second];
   FlowState flow;
-  flow.key = symbol_name(root);
-  if (last != root) {
-    flow.key += "->";
-    flow.key += symbol_name(last);
-  }
+  flow.key = flow_key(root, last);
   apply_slo(flow);
   flows_.push_back(std::move(flow));
   flow_index_.emplace(key, flows_.size() - 1);
@@ -206,121 +203,35 @@ void WindowAggregator::on_span(const Span& s) {
   if (s.trace_id == 0) return;
 
   OpenTrace& slot = table_[s.trace_id % table_.size()];
-  OpenTrace* t = nullptr;
   if (slot.trace_id == s.trace_id) {
-    t = &slot;
-  } else {
-    // Only a root span opens a trace; a non-root span without a slot is
-    // the tail of a trace already finalized (or evicted) and is dropped.
-    if (s.parent_id != 0) return;
-    if (slot.trace_id != 0) {
-      // Direct-mapped collision: finalize the previous occupant now.
-      if (slot.has_pending_deliver)
-        finalize(slot, slot.pending_deliver_end, slot.pending_deliver_name, true);
-      else
-        finalize(slot, slot.last_end, slot.last_name, false);
-      ++evicted_total_;
-      ++win_evicted_;
-    }
-    slot = OpenTrace{};
-    slot.trace_id = s.trace_id;
-    slot.root_name = s.name;
-    slot.root_start = s.start;
-    ++open_traces_;
-    t = &slot;
+    if (slot.fold.add(s)) finalize(slot);
+    return;
   }
-
-  t->last_end = s.end;
-  t->last_name = s.name;
-  // Landmarks mirror analysis.cpp's phase_breakdown: first bus, first
-  // dissect, longest repo_wait before the first construct, first
-  // construct, and the first deliver after it. A deliver seen before
-  // any construct is held pending -- it is the terminal span only if no
-  // construct ever arrives (local multicast delivery of a message that
-  // a gateway later reconstructs must not end the trace early).
-  switch (s.phase) {
-    case Phase::kSend:
-      break;
-    case Phase::kBus:
-      if (!t->has_bus) {
-        t->has_bus = true;
-        t->first_bus_end = s.end;
-      }
-      break;
-    case Phase::kDissect:
-      if (!t->has_dissect) {
-        t->has_dissect = true;
-        t->dissect_end = s.end;
-      }
-      break;
-    case Phase::kRepoWait:
-      if (!t->has_construct && (!t->has_repo || s.duration() > t->repo_longest)) {
-        t->has_repo = true;
-        t->repo_longest = s.duration();
-        t->repo_longest_end = s.end;
-      }
-      break;
-    case Phase::kConstruct:
-      if (!t->has_construct) {
-        t->has_construct = true;
-        t->construct_end = s.end;
-        t->has_pending_deliver = false;
-      }
-      break;
-    case Phase::kDeliver:
-      if (t->has_construct) {
-        finalize(*t, s.end, s.name, true);
-      } else if (!t->has_pending_deliver) {
-        t->has_pending_deliver = true;
-        t->pending_deliver_end = s.end;
-        t->pending_deliver_name = s.name;
-        t->snap_first_bus_end = t->first_bus_end;
-        t->snap_dissect_end = t->dissect_end;
-        t->snap_repo_longest = t->repo_longest;
-        t->snap_repo_longest_end = t->repo_longest_end;
-        t->snap_has_bus = t->has_bus;
-        t->snap_has_dissect = t->has_dissect;
-        t->snap_has_repo = t->has_repo;
-      }
-      break;
+  // Only a root span opens a trace; a non-root span without a slot is
+  // the tail of a trace already finalized (or evicted) and is dropped.
+  if (s.parent_id != 0) return;
+  if (slot.trace_id != 0) {
+    // Direct-mapped collision: finalize the previous occupant now.
+    finalize(slot);
+    ++evicted_total_;
+    ++win_evicted_;
   }
+  slot = OpenTrace{s.trace_id, TraceFold{s}};
+  ++open_traces_;
 }
 
-void WindowAggregator::finalize(OpenTrace& t, Instant terminal_end, Symbol terminal_name,
-                                bool delivered) {
-  if (t.has_pending_deliver && !t.has_construct) {
-    // The pending deliver is the terminal span: no construct ever
-    // arrived, so landmarks folded after it must not count (the
-    // post-hoc scan in analysis.cpp breaks at this deliver).
-    t.first_bus_end = t.snap_first_bus_end;
-    t.dissect_end = t.snap_dissect_end;
-    t.repo_longest = t.snap_repo_longest;
-    t.repo_longest_end = t.snap_repo_longest_end;
-    t.has_bus = t.snap_has_bus;
-    t.has_dissect = t.snap_has_dissect;
-    t.has_repo = t.snap_has_repo;
-  }
-  FlowState& flow = flow_for(t.root_name, terminal_name);
+void WindowAggregator::finalize(OpenTrace& t) {
+  const TraceFold::Sample sample = t.fold.finish();
+  FlowState& flow = flow_for(sample.root, sample.terminal);
   flow.touched = true;
   ++flow.traces;
   ++flow.win_traces;
-
-  const std::int64_t total = (terminal_end - t.root_start).ns();
-  flow.phase[5].add(total);  // "total"
-  if (t.has_bus) flow.phase[0].add((t.first_bus_end - t.root_start).ns());
-  if (t.has_dissect && t.has_bus) flow.phase[1].add((t.dissect_end - t.first_bus_end).ns());
-  if (t.has_repo) flow.phase[2].add(t.repo_longest.ns());
-  if (t.has_construct && t.has_repo)
-    flow.phase[3].add((t.construct_end - t.repo_longest_end).ns());
-  if (delivered) {
-    if (t.has_construct)
-      flow.phase[4].add((terminal_end - t.construct_end).ns());
-    else if (t.has_bus)
-      flow.phase[4].add((terminal_end - t.first_bus_end).ns());
-  }
+  for (std::size_t i = 0; i < sample.phase.size(); ++i)
+    if (sample.phase[i]) flow.phase[i].add(*sample.phase[i]);
 
   // A value is temporally accurate while t < t_update + d_acc, so an
   // end-to-end latency equal to the deadline is already a miss.
+  const std::int64_t total = *sample.phase[kTotalPhase];
   if (flow.deadline_ns >= 0 && total >= flow.deadline_ns) {
     ++flow.deadline_miss;
     ++flow.win_deadline_miss;
@@ -330,7 +241,7 @@ void WindowAggregator::finalize(OpenTrace& t, Instant terminal_end, Symbol termi
     ++flow.win_bound_miss;
   }
   if (config_.timeline == TelemetryTimeline::kSim &&
-      terminal_end.ns() < current_window_ * window_ns_)
+      sample.end.ns() < current_window_ * window_ns_)
     ++win_late_, ++late_total_;
 
   t.trace_id = 0;
@@ -424,7 +335,7 @@ void WindowAggregator::append_flow(const FlowState& f) {
   }
   line_ += ",\"phases\":{";
   bool first = true;
-  for (std::size_t i = 0; i < kPhaseSlots; ++i) {
+  for (std::size_t i = 0; i < f.phase.size(); ++i) {
     const PhaseWindow& p = f.phase[i];
     if (p.n == 0) continue;
     if (!first) line_ += ',';
@@ -549,13 +460,7 @@ void WindowAggregator::flush() {
   std::sort(flush_order_.begin(), flush_order_.end(), [this](std::size_t a, std::size_t b) {
     return table_[a].trace_id < table_[b].trace_id;
   });
-  for (const std::size_t idx : flush_order_) {
-    OpenTrace& t = table_[idx];
-    if (t.has_pending_deliver)
-      finalize(t, t.pending_deliver_end, t.pending_deliver_name, true);
-    else
-      finalize(t, t.last_end, t.last_name, false);
-  }
+  for (const std::size_t idx : flush_order_) finalize(table_[idx]);
   close_window();
 }
 
@@ -689,31 +594,6 @@ Result<std::vector<TelemetryStream>> load_telemetry(std::istream& in) {
     // Unknown line types are skipped so the format can grow.
   }
   return streams;
-}
-
-std::int64_t FlowHealth::PhaseAgg::percentile(double p) const {
-  if (n == 0) return 0;
-  if (p <= 0.0) return min_ns;
-  if (p >= 1.0) return max_ns;
-  // Nearest-rank over the merged run-length samples: the same formula
-  // as LatencySet::percentile (rank = p*n + 0.999999), so exact()
-  // aggregates reproduce decotrace's numbers bit for bit.
-  std::uint64_t total = 0;
-  for (const auto& [value, count] : values) {
-    (void)value;
-    total += count;
-  }
-  if (total == 0) return max_ns;
-  auto rank =
-      static_cast<std::uint64_t>(p * static_cast<double>(total) + 0.999999);
-  if (rank < 1) rank = 1;
-  if (rank > total) rank = total;
-  std::uint64_t cumulative = 0;
-  for (const auto& [value, count] : values) {
-    cumulative += count;
-    if (cumulative >= rank) return value;
-  }
-  return max_ns;
 }
 
 std::vector<FlowHealth> flow_health(const std::vector<TelemetryStream>& streams) {

@@ -5,6 +5,7 @@
 // and that identical runs produce identical spans and metric snapshots.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <set>
 #include <sstream>
@@ -125,20 +126,21 @@ TEST(PipelineTrace, EveryPhaseAppearsAndChainsAreIntact) {
 
 TEST(PipelineTrace, BreakdownMeasuresTheGatewayFlow) {
   const RunResult run = run_pipeline();
-  const obs::Breakdown breakdown = obs::phase_breakdown(run.spans);
-  const auto it = breakdown.find("msgA->msgB");
-  ASSERT_NE(it, breakdown.end()) << "expected an end-to-end msgA->msgB flow";
-  const obs::FlowStats& flow = it->second;
+  const std::vector<obs::FlowHealth> flows = obs::phase_breakdown(run.spans);
+  const auto it = std::find_if(flows.begin(), flows.end(),
+                               [](const obs::FlowHealth& f) { return f.flow == "msgA->msgB"; });
+  ASSERT_NE(it, flows.end()) << "expected an end-to-end msgA->msgB flow";
+  const obs::FlowHealth& flow = *it;
   for (const char* phase : obs::kBreakdownPhases) {
     const auto p = flow.phases.find(phase);
     ASSERT_NE(p, flow.phases.end()) << phase << " missing from breakdown";
-    EXPECT_FALSE(p->second.empty()) << phase << " has no samples";
+    EXPECT_NE(p->second.n, 0u) << phase << " has no samples";
   }
   // End-to-end latency must cover at least the bus ingress and be bounded
   // by the run length.
-  const obs::LatencySet& total = flow.phases.at("total");
-  EXPECT_GT(total.min(), 0);
-  EXPECT_LT(total.max(), Duration::milliseconds(200).ns());
+  const obs::FlowHealth::PhaseAgg& total = flow.phases.at("total");
+  EXPECT_GT(total.min_ns, 0);
+  EXPECT_LT(total.max_ns, Duration::milliseconds(200).ns());
 }
 
 TEST(PipelineTrace, IdenticalRunsProduceIdenticalObservability) {

@@ -1,5 +1,7 @@
-// Streaming windowed telemetry (obs/telemetry): the live aggregator
-// must reproduce analysis.cpp's post-hoc phase_breakdown exactly, place
+// Streaming windowed telemetry (obs/telemetry): the live aggregator and
+// post-hoc phase_breakdown must both reproduce the landmark-scan oracle
+// (tests/oracle/landmark_scan.hpp) exactly, drop traces whose root is
+// missing, place
 // samples in the right tumbling windows (including empty windows and
 // traces straddling window boundaries), count deadline/bound misses
 // with the temporal-accuracy semantics, and emit a byte-deterministic
@@ -12,7 +14,9 @@
 #include <string>
 #include <vector>
 
+#include "../oracle/landmark_scan.hpp"
 #include "obs/analysis.hpp"
+#include "util/rng.hpp"
 
 namespace decos::obs {
 namespace {
@@ -78,49 +82,186 @@ const FlowHealth* find_flow(const std::vector<FlowHealth>& flows, std::string_vi
   return nullptr;
 }
 
-TEST(WindowAggregator, MatchesPhaseBreakdownExactly) {
-  TraceCollector collector;
+/// Replay a span stream (span-id order, as a SpanSink sees it) through
+/// a fresh aggregator and fold its telemetry stream back into flows.
+std::vector<FlowHealth> stream_flows(const std::vector<Span>& spans, TelemetryConfig config) {
   std::ostringstream out;
   OstreamTelemetrySink sink{out};
-  WindowAggregator aggregator{nullptr, &collector, TelemetryConfig{}};
+  WindowAggregator aggregator{nullptr, nullptr, config};
   aggregator.set_sink(&sink);
-  aggregator.begin_stream("exactness");
-  collector.set_sink(&aggregator);
-
-  // 40 gateway traces with varying repo waits (several per 100 ms
-  // window) and 17 direct traces; enough distinct values that a wrong
-  // nearest-rank formula shows up in p50/p99.
-  for (int i = 0; i < 40; ++i)
-    emit_gateway_trace(collector, at(i * 7'000'000), 300'000 + 137'000 * (i % 11));
-  for (int i = 0; i < 17; ++i)
-    emit_direct_trace(collector, at(3'000'000 + i * 9'000'000), 900'000 + 101'000 * (i % 5));
+  aggregator.begin_stream("replay");
+  for (const Span& s : spans) aggregator.on_span(s);
   aggregator.flush();
+  EXPECT_EQ(aggregator.traces_evicted(), 0u);
+  return flow_health(parse(out.str()));
+}
 
-  const Breakdown breakdown = phase_breakdown(as_vector(collector));
-  const std::vector<FlowHealth> live = flow_health(parse(out.str()));
-  ASSERT_EQ(breakdown.size(), live.size());
-  for (const auto& [key, stats] : breakdown) {
-    const FlowHealth* flow = find_flow(live, key);
-    ASSERT_NE(flow, nullptr) << key;
-    EXPECT_EQ(flow->traces, stats.traces) << key;
+/// Every flow, phase, count, extreme, mean and percentile of `flows`
+/// equals the landmark-scan oracle's.
+void expect_matches_oracle(const oracle::Breakdown& expected, const std::vector<FlowHealth>& flows,
+                           std::string_view reader) {
+  ASSERT_EQ(flows.size(), expected.size()) << reader;
+  for (const auto& [key, stats] : expected) {
+    const FlowHealth* flow = find_flow(flows, key);
+    ASSERT_NE(flow, nullptr) << reader << " " << key;
+    EXPECT_EQ(flow->traces, stats.traces) << reader << " " << key;
     for (const char* phase : kBreakdownPhases) {
+      const std::string where = std::string{reader} + " " + key + "/" + phase;
       const auto post = stats.phases.find(phase);
       const auto it = flow->phases.find(phase);
       if (post == stats.phases.end() || post->second.empty()) {
-        EXPECT_TRUE(it == flow->phases.end() || it->second.n == 0) << key << "/" << phase;
+        EXPECT_TRUE(it == flow->phases.end() || it->second.n == 0) << where;
         continue;
       }
-      ASSERT_NE(it, flow->phases.end()) << key << "/" << phase;
-      const LatencySet& set = post->second;
+      ASSERT_NE(it, flow->phases.end()) << where;
+      const oracle::LatencySet& set = post->second;
       const FlowHealth::PhaseAgg& agg = it->second;
-      EXPECT_TRUE(agg.exact()) << key << "/" << phase;
-      EXPECT_EQ(agg.n, set.count()) << key << "/" << phase;
-      EXPECT_EQ(agg.min_ns, set.min()) << key << "/" << phase;
-      EXPECT_EQ(agg.max_ns, set.max()) << key << "/" << phase;
-      EXPECT_DOUBLE_EQ(agg.mean(), set.mean()) << key << "/" << phase;
+      EXPECT_TRUE(agg.exact()) << where;
+      EXPECT_EQ(agg.n, set.count()) << where;
+      EXPECT_EQ(agg.min_ns, set.min()) << where;
+      EXPECT_EQ(agg.max_ns, set.max()) << where;
+      EXPECT_DOUBLE_EQ(agg.mean(), set.mean()) << where;
       for (const double p : {0.0, 0.25, 0.5, 0.9, 0.99, 1.0})
-        EXPECT_EQ(agg.percentile(p), set.percentile(p)) << key << "/" << phase << " p=" << p;
+        EXPECT_EQ(agg.percentile(p), set.percentile(p)) << where << " p=" << p;
     }
+  }
+}
+
+/// One generated trace: its spans in causal order, each naming its
+/// parent by index into the script (-1 = root).
+struct ScriptSpan {
+  Phase phase;
+  const char* name;
+  int parent;
+  std::int64_t end_ns;  // relative to the trace's root
+  std::int64_t duration_ns;
+};
+
+/// Seeded trace shapes. Gateway traces run 1-3 TT rounds (bus, a
+/// delivery into the gateway's own input port, dissect, repo waits)
+/// with the construction in any round or none, then the consumer
+/// delivery and further re-send rounds. Direct traces deliver without
+/// a gateway and may carry stray landmarks after the delivery. A fifth
+/// of the traces are cut short (no delivery); "soup" traces are random
+/// phase sequences. Times advance in 0/1 ms steps so every flow keeps
+/// few distinct latencies (one telemetry window stays exact).
+std::vector<ScriptSpan> generate_trace(Rng& rng) {
+  std::vector<ScriptSpan> script;
+  std::int64_t now = 0;
+  const auto add = [&](Phase phase, const char* name) {
+    now += rng.uniform_int(0, 1) * 1'000'000;
+    const int parent = script.empty() ? -1 : static_cast<int>(script.size()) - 1;
+    script.push_back(ScriptSpan{phase, name, parent, now, rng.uniform_int(0, 2) * 1'000'000});
+  };
+  switch (rng.uniform_int(0, 2)) {
+    case 0: {  // gateway: msgA -> msgB
+      add(Phase::kSend, "msgA");
+      const int rounds = static_cast<int>(rng.uniform_int(1, 3));
+      const int construct_round = static_cast<int>(rng.uniform_int(1, rounds + 1));  // > rounds: none
+      for (int round = 1; round <= rounds; ++round) {
+        add(Phase::kBus, "slot 0");
+        if (rng.uniform_int(0, 3) != 0) add(Phase::kDeliver, "msgA");  // gateway input port
+        if (rng.uniform_int(0, 4) != 0) add(Phase::kDissect, "msgA");
+        for (std::int64_t r = rng.uniform_int(0, 2); r > 0; --r) add(Phase::kRepoWait, "image");
+        if (round < construct_round) continue;
+        if (round == construct_round) add(Phase::kConstruct, "msgB");
+        add(Phase::kBus, "slot 1");
+        add(Phase::kDeliver, "msgB");
+      }
+      break;
+    }
+    case 1: {  // gateway-less: msgC
+      add(Phase::kSend, "msgC");
+      for (std::int64_t round = rng.uniform_int(1, 3); round > 0; --round) {
+        add(Phase::kBus, "slot 2");
+        add(Phase::kDeliver, "msgC");
+        if (rng.uniform_int(0, 2) == 0) add(Phase::kDissect, "msgC");
+        if (rng.uniform_int(0, 3) == 0) add(Phase::kRepoWait, "image");
+      }
+      break;
+    }
+    default: {  // soup: any phase order, names from a separate family
+      static constexpr const char* kNames[] = {"soupX", "soupY", "soupZ"};
+      static constexpr Phase kPhases[] = {Phase::kBus, Phase::kDissect, Phase::kRepoWait,
+                                          Phase::kConstruct, Phase::kDeliver};
+      add(Phase::kSend, kNames[rng.uniform_int(0, 1)]);
+      for (std::int64_t n = rng.uniform_int(0, 9); n > 0; --n)
+        add(kPhases[rng.uniform_int(0, 4)], kNames[rng.uniform_int(0, 2)]);
+      break;
+    }
+  }
+  if (rng.uniform_int(0, 4) == 0)
+    script.resize(static_cast<std::size_t>(rng.uniform_int(1, static_cast<std::int64_t>(script.size()))));
+  return script;
+}
+
+TEST(WindowAggregator, MatchesPhaseBreakdownExactly) {
+  constexpr int kTraces = 400;
+  for (const std::uint64_t seed : {1u, 2u, 3u, 4u, 5u, 6u, 7u, 8u}) {
+    SCOPED_TRACE(testing::Message() << "seed " << seed);
+    Rng rng{seed};
+    std::vector<std::vector<ScriptSpan>> scripts;
+    std::vector<std::uint64_t> trace_ids;
+    std::vector<std::int64_t> origin;
+    TraceCollector collector;
+    for (int i = 0; i < kTraces; ++i) {
+      scripts.push_back(generate_trace(rng));
+      trace_ids.push_back(collector.new_trace());
+      origin.push_back(rng.uniform_int(0, 1000) * 1'000'000);
+    }
+    // Interleave: every step emits the next span of a random unfinished
+    // trace, so traces overlap arbitrarily in the span stream.
+    std::vector<std::size_t> cursor(kTraces, 0);
+    std::vector<std::vector<std::uint64_t>> span_ids(kTraces);
+    std::vector<std::size_t> open(kTraces);
+    for (std::size_t i = 0; i < open.size(); ++i) open[i] = i;
+    while (!open.empty()) {
+      const std::size_t pick = static_cast<std::size_t>(
+          rng.uniform_int(0, static_cast<std::int64_t>(open.size()) - 1));
+      const std::size_t t = open[pick];
+      const ScriptSpan& step = scripts[t][cursor[t]];
+      const Instant end = at(origin[t] + step.end_ns);
+      const Instant start = step.parent < 0 ? end : at(origin[t] + step.end_ns - step.duration_ns);
+      const std::uint64_t parent = step.parent < 0 ? 0 : span_ids[t][step.parent];
+      span_ids[t].push_back(
+          collector.emit(trace_ids[t], parent, step.phase, "track", step.name, start, end));
+      if (++cursor[t] == scripts[t].size()) {
+        open[pick] = open.back();
+        open.pop_back();
+      }
+    }
+
+    const std::vector<Span> spans = as_vector(collector);
+    const oracle::Breakdown expected = oracle::landmark_scan(spans);
+    // Every shape shows up: gateway, held gateway-port delivery, direct.
+    for (const char* key : {"msgA->msgB", "msgA", "msgC"}) ASSERT_EQ(expected.count(key), 1u) << key;
+    expect_matches_oracle(expected, phase_breakdown(spans), "phase_breakdown");
+    // One window spanning the whole run and a table slot per trace: no
+    // eviction, no value-list truncation, so the stream is exact too.
+    TelemetryConfig config;
+    config.window = Duration::seconds(10);
+    config.max_open_traces = kTraces + 1;
+    expect_matches_oracle(expected, stream_flows(spans, config), "WindowAggregator");
+  }
+}
+
+TEST(WindowAggregator, TraceWithoutRootYieldsNoFlow) {
+  // A bounded ring evicts the oldest spans: the gateway trace loses its
+  // root and first bus span, the direct trace behind it survives whole.
+  TraceCollector collector;
+  collector.set_capacity(10);
+  emit_gateway_trace(collector, at(0), 300'000);            // 8 spans
+  emit_direct_trace(collector, at(20'000'000), 1'000'000);  // 4 spans
+  ASSERT_EQ(collector.dropped(), 2u);
+  const std::vector<Span> spans = as_vector(collector);
+  ASSERT_NE(spans.front().parent_id, 0u);  // the orphaned tail leads
+
+  TelemetryConfig config;
+  config.window = Duration::seconds(10);
+  for (const std::vector<FlowHealth>& flows : {phase_breakdown(spans), stream_flows(spans, config)}) {
+    ASSERT_EQ(flows.size(), 1u);
+    EXPECT_EQ(flows[0].flow, "msgC");
+    EXPECT_EQ(flows[0].traces, 1u);
   }
 }
 

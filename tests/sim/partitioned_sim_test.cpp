@@ -208,7 +208,8 @@ TEST(PartitionedSimTest, QueueDepthAggregatesAcrossWheels) {
   EXPECT_EQ(depth->value, 3);
 
   sim.run_until(at(20_ms));
-  const auto* drained = sim.metrics().snapshot().find("sim.queue_depth");
+  const auto after = sim.metrics().snapshot();
+  const auto* drained = after.find("sim.queue_depth");
   ASSERT_NE(drained, nullptr);
   EXPECT_EQ(drained->value, 0);
 }
@@ -248,7 +249,8 @@ TEST(PartitionedSimTest, DispatchedCountsEveryWheel) {
   sim.run_until(at(10_ms));
   EXPECT_EQ(fired.load(), 12);
   EXPECT_EQ(sim.dispatched(), 12u);
-  const auto* events = sim.metrics().snapshot().find("sim.events_dispatched");
+  const auto snapshot = sim.metrics().snapshot();
+  const auto* events = snapshot.find("sim.events_dispatched");
   ASSERT_NE(events, nullptr);
   EXPECT_EQ(events->value, 12);
 }

@@ -3,11 +3,11 @@
 // Tails the JSONL delta stream written by the benches (--telemetry-out)
 // or the future rt runtime, folds windows into whole-run per-flow
 // health, and renders a top-like table: traces, phase p50/p99,
-// deadline- and bound-miss counters. The aggregation arithmetic is the
-// stream-reader side of obs/telemetry, which replays the exact
-// nearest-rank percentile formula of obs/analysis -- on a loss-free
-// stream decomon's numbers equal decotrace's post-hoc numbers to the
-// nanosecond.
+// deadline- and bound-miss counters. The stream's per-flow samples come
+// from the same obs::TraceFold decotrace runs post-hoc, and both CLIs
+// report obs::FlowHealth (one percentile, one JSON renderer) -- so on a
+// loss-free stream (evicted == 0, every phase exact) decomon's numbers
+// equal decotrace's to the nanosecond.
 //
 // Modes:
 //   --once    read the whole input, print one report, exit
@@ -158,35 +158,7 @@ void print_json(const Report& r) {
   root.emplace_back("evicted", static_cast<std::int64_t>(r.evicted));
   root.emplace_back("late", static_cast<std::int64_t>(r.late));
   root.emplace_back("slo_breach", r.misses > 0);
-  obs::json::Array flows;
-  for (const obs::FlowHealth& f : r.flows) {
-    obs::json::Object o;
-    o.emplace_back("flow", f.flow);
-    o.emplace_back("traces", static_cast<std::int64_t>(f.traces));
-    if (f.deadline_ns >= 0) {
-      o.emplace_back("deadline_ns", f.deadline_ns);
-      o.emplace_back("deadline_miss", static_cast<std::int64_t>(f.deadline_miss));
-    }
-    if (f.bound_ns >= 0) {
-      o.emplace_back("bound_ns", f.bound_ns);
-      o.emplace_back("bound_miss", static_cast<std::int64_t>(f.bound_miss));
-    }
-    obs::json::Object phases;
-    for (const auto& [name, agg] : f.phases) {
-      obs::json::Object p;
-      p.emplace_back("n", static_cast<std::int64_t>(agg.n));
-      p.emplace_back("exact", agg.exact());
-      p.emplace_back("min_ns", agg.min_ns);
-      p.emplace_back("max_ns", agg.max_ns);
-      p.emplace_back("mean_ns", agg.mean());
-      p.emplace_back("p50_ns", agg.percentile(0.50));
-      p.emplace_back("p99_ns", agg.percentile(0.99));
-      phases.emplace_back(name, std::move(p));
-    }
-    o.emplace_back("phases", std::move(phases));
-    flows.push_back(obs::json::Value{std::move(o)});
-  }
-  root.emplace_back("flows", std::move(flows));
+  root.emplace_back("flows", obs::flows_to_json(r.flows));
   std::printf("%s\n", obs::json::Value{std::move(root)}.dump().c_str());
 }
 

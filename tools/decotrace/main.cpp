@@ -8,8 +8,11 @@
 // maximum) -- so a CI job can run several benches and check instrument
 // coverage across their union.
 //
-// The phase arithmetic is the same code the benches run in-process
-// (obs/analysis), so both readers agree to the nanosecond.
+// Flows come from obs::phase_breakdown, which runs the same TraceFold
+// as the benches in-process and the streaming aggregator behind decomon,
+// so the readers agree to the nanosecond; --json renders them through
+// the shared obs::flows_to_json. --check-bounds reads the bounds file
+// with obs::load_flow_bounds, the loader behind --telemetry-bounds.
 //
 // Exit status: 0 = ok; 1 = --fail-dead found dead instruments or --check
 // found span-integrity violations; 2 = usage / IO / parse failure.
@@ -17,7 +20,6 @@
 #include <cstdio>
 #include <fstream>
 #include <iostream>
-#include <iterator>
 #include <map>
 #include <string>
 #include <vector>
@@ -25,6 +27,7 @@
 #include "obs/analysis.hpp"
 #include "obs/export.hpp"
 #include "obs/json.hpp"
+#include "obs/telemetry.hpp"
 
 namespace {
 
@@ -57,39 +60,6 @@ struct Options {
   std::string perfetto_out;
   std::vector<std::string> files;
 };
-
-/// Static bound of one flow, loaded from declint's JSON report.
-struct StaticBound {
-  std::string key;
-  std::int64_t bound_ns = 0;
-};
-
-int load_bounds(const std::string& path, std::vector<StaticBound>& out) {
-  std::ifstream in{path};
-  if (!in) {
-    std::cerr << path << ": cannot open file\n";
-    return 2;
-  }
-  std::string text{std::istreambuf_iterator<char>{in}, std::istreambuf_iterator<char>{}};
-  auto doc = obs::json::parse(text);
-  if (!doc.ok()) {
-    std::cerr << path << ": " << doc.error().message << "\n";
-    return 2;
-  }
-  const obs::json::Value* cluster = doc.value().find("cluster");
-  const obs::json::Value* flows = cluster != nullptr ? cluster->find("flows") : nullptr;
-  if (flows == nullptr || !flows->is_array()) {
-    std::cerr << path << ": not a declint JSON report (missing cluster.flows)\n";
-    return 2;
-  }
-  for (const obs::json::Value& flow : flows->as_array()) {
-    StaticBound b;
-    b.key = flow.get_string("key");
-    b.bound_ns = flow.get_int("bound_ns");
-    if (!b.key.empty()) out.push_back(std::move(b));
-  }
-  return 0;
-}
 
 const char* kind_name(obs::InstrumentKind kind) {
   switch (kind) {
@@ -161,24 +131,26 @@ std::vector<std::string> dead_families(const obs::MetricsSnapshot& snapshot) {
   return dead;
 }
 
-void print_flows(const obs::Breakdown& breakdown) {
+void print_flows(const std::vector<obs::FlowHealth>& flows) {
   std::printf("-- flows --\n");
-  if (breakdown.empty()) {
+  if (flows.empty()) {
     std::printf("(no traced flows)\n");
     return;
   }
-  for (const auto& [key, flow] : breakdown) {
-    std::printf("%s  (%zu traces)\n", key.c_str(), flow.traces);
+  for (const obs::FlowHealth& flow : flows) {
+    std::printf("%s  (%llu traces)\n", flow.flow.c_str(),
+                static_cast<unsigned long long>(flow.traces));
     std::printf("  %-10s %8s %12s %12s %12s %12s\n", "phase", "n", "p50_ns", "p99_ns", "max_ns",
                 "mean_ns");
     for (const char* phase : obs::kBreakdownPhases) {
       const auto it = flow.phases.find(phase);
-      if (it == flow.phases.end() || it->second.empty()) continue;
-      const obs::LatencySet& set = it->second;
-      std::printf("  %-10s %8zu %12lld %12lld %12lld %12.1f\n", phase, set.count(),
-                  static_cast<long long>(set.percentile(0.50)),
-                  static_cast<long long>(set.percentile(0.99)),
-                  static_cast<long long>(set.max()), set.mean());
+      if (it == flow.phases.end() || it->second.n == 0) continue;
+      const obs::FlowHealth::PhaseAgg& agg = it->second;
+      std::printf("  %-10s %8llu %12lld %12lld %12lld %12.1f\n", phase,
+                  static_cast<unsigned long long>(agg.n),
+                  static_cast<long long>(agg.percentile(0.50)),
+                  static_cast<long long>(agg.percentile(0.99)),
+                  static_cast<long long>(agg.max_ns), agg.mean());
     }
   }
 }
@@ -281,7 +253,7 @@ int main(int argc, char** argv) {
 
   const std::vector<obs::Span> spans = merged.all_spans();
   const auto records = merged.all_records();
-  const obs::Breakdown breakdown = obs::phase_breakdown(spans);
+  const std::vector<obs::FlowHealth> flows = obs::phase_breakdown(spans);
   const obs::ContainmentSummary containment = obs::containment_summary(records);
   const obs::MetricsSnapshot metrics = merged.merged_metrics();
   const std::vector<std::string> dead = dead_families(metrics);
@@ -305,7 +277,7 @@ int main(int argc, char** argv) {
     }
     o.emplace_back("spans", spans.size());
     o.emplace_back("records", records.size());
-    o.emplace_back("flows", obs::breakdown_to_json(breakdown));
+    o.emplace_back("flows", obs::flows_to_json(flows));
     o.emplace_back("containment", obs::containment_to_json(containment));
     o.emplace_back("metrics", metrics_to_json(metrics));
     {
@@ -322,7 +294,7 @@ int main(int argc, char** argv) {
   } else {
     std::printf("decotrace: %zu file(s), %zu cell(s), %zu spans, %zu records\n",
                 options.files.size(), merged.cells.size(), spans.size(), records.size());
-    print_flows(breakdown);
+    print_flows(flows);
     print_containment(containment);
     print_metrics(metrics);
     if (!dead.empty()) {
@@ -338,41 +310,50 @@ int main(int argc, char** argv) {
     return 1;
   }
   if (!options.bounds_file.empty()) {
-    std::vector<StaticBound> bounds;
-    if (const int rc = load_bounds(options.bounds_file, bounds); rc != 0) return rc;
+    std::ifstream in{options.bounds_file};
+    if (!in) {
+      std::cerr << options.bounds_file << ": cannot open file\n";
+      return 2;
+    }
+    const auto bounds = obs::load_flow_bounds(in);
+    if (!bounds.ok()) {
+      std::cerr << options.bounds_file << ": " << bounds.error().message << "\n";
+      return 2;
+    }
     std::size_t checked = 0, exceeded = 0;
-    for (const StaticBound& b : bounds) {
+    for (const auto& [key, bound_ns] : bounds.value()) {
       // Exact flow-key match first; otherwise fall back to the root send
       // message (the part before "->"). A flow whose consumer is not an
       // attached port is keyed by its delivery slot in the trace
       // ("msgA0->slot 9"), but it is still the flow rooted at msgA0.
-      auto it = breakdown.find(b.key);
-      if (it == breakdown.end()) {
-        const std::string root = b.key.substr(0, b.key.find("->"));
-        auto match = breakdown.end();
-        std::size_t candidates = 0;
-        for (auto cand = breakdown.begin(); cand != breakdown.end(); ++cand) {
-          if (cand->first != root && cand->first.rfind(root + "->", 0) != 0) continue;
-          ++candidates;
-          match = cand;
+      const std::string root = key.substr(0, key.find("->"));
+      const obs::FlowHealth* match = nullptr;
+      std::size_t candidates = 0;
+      for (const obs::FlowHealth& flow : flows) {
+        if (flow.flow == key) {
+          match = &flow;
+          candidates = 1;
+          break;
         }
-        if (candidates != 1) continue;  // ambiguous root: no safe join
-        it = match;
+        if (flow.flow != root && flow.flow.rfind(root + "->", 0) != 0) continue;
+        ++candidates;
+        match = &flow;
       }
-      const auto total = it->second.phases.find("total");
-      if (total == it->second.phases.end() || total->second.empty()) continue;
+      if (candidates != 1) continue;  // ambiguous root: no safe join
+      const auto total = match->phases.find("total");
+      if (total == match->phases.end() || total->second.n == 0) continue;
       ++checked;
-      const std::int64_t observed = total->second.max();
-      const bool over = observed > b.bound_ns;
+      const std::int64_t observed = total->second.max_ns;
+      const bool over = observed > bound_ns;
       if (over) ++exceeded;
       std::fprintf(over ? stderr : stdout,
                    "bounds: flow '%s' (traced as '%s') observed max %lld ns %s static bound "
                    "%lld ns\n",
-                   b.key.c_str(), it->first.c_str(), static_cast<long long>(observed),
-                   over ? "EXCEEDS" : "<=", static_cast<long long>(b.bound_ns));
+                   key.c_str(), match->flow.c_str(), static_cast<long long>(observed),
+                   over ? "EXCEEDS" : "<=", static_cast<long long>(bound_ns));
     }
     if (checked == 0) {
-      std::cerr << "decotrace: --check-bounds matched no traced flow against " << bounds.size()
+      std::cerr << "decotrace: --check-bounds matched no traced flow against " << bounds.value().size()
                 << " static bound(s)\n";
       return 1;
     }
