@@ -131,6 +131,16 @@ class GatewayLink {
   std::unordered_map<Symbol, DissectPlan, SymbolHash> dissect_plans_;
   std::vector<std::unique_ptr<ConstructPlan>> construct_plans_;
   std::unordered_map<Symbol, ConstructPlan*, SymbolHash> construct_by_message_;
+  // Output wake-up (S29): bit i set = construct_plans_[i] is evaluated by
+  // the next output pass; a clear bit is a parked plan.
+  std::vector<std::uint64_t> active_plans_;
+  std::uint32_t parked_held_ = 0;  // plans parked as ConstructPlan::Park::kHeld
+  // Output pass in progress on this link: the index the walk visits
+  // next, and the held plans woken at or beyond it (evaluated by the
+  // walk, so not counted as skipped).
+  static constexpr std::size_t kNoPass = static_cast<std::size_t>(-1);
+  std::size_t pass_cursor_ = kNoPass;
+  std::uint32_t woken_ahead_ = 0;
   // Input-port bindings in ports_ order (VirtualGateway::bind_inputs()).
   // Fully built before any notify closure captures into it, and never
   // resized afterwards, so element addresses are stable.

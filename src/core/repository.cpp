@@ -23,6 +23,9 @@ ElementId Repository::declare(const ElementDecl& decl) {
   const auto id = static_cast<ElementId>(entries_.size());
   entries_.push_back(std::move(e));
   index_.emplace(sym, id);
+  // Keep room for every element (deduplicated touches never exceed
+  // the element count); growing with entries_ keeps declare amortized.
+  if (touched_.capacity() < entries_.size()) touched_.reserve(entries_.capacity());
   return id;
 }
 
@@ -58,6 +61,7 @@ const Repository::Entry& Repository::entry(ElementId id) const {
 bool Repository::store(ElementId id, ElementInstance&& instance, Instant now) {
   Entry& e = entry(id);
   e.b_req = false;  // the request has been satisfied
+  touch(e, id);
   ++e.version;
   ++stores_;
   instance.observed_at = now;
@@ -78,6 +82,7 @@ bool Repository::store(ElementId id, ElementInstance&& instance, Instant now) {
 bool Repository::store_copy(ElementId id, const ElementInstance& instance, Instant now) {
   Entry& e = entry(id);
   e.b_req = false;
+  touch(e, id);
   ++e.version;
   ++stores_;
   if (e.decl.semantics == spec::InfoSemantics::kState) {
@@ -129,6 +134,7 @@ std::optional<ElementInstance> Repository::fetch(ElementId id, Instant now,
     return e.state_value;  // non-consuming copy
   }
   if (e.ring_count == 0) return std::nullopt;
+  touch(e, id);
   ElementInstance instance = std::move(e.ring[e.ring_head]);
   e.ring_head = (e.ring_head + 1) % e.ring.size();
   --e.ring_count;
@@ -148,6 +154,7 @@ const ElementInstance* Repository::fetch_state(ElementId id, Instant now, bool i
 bool Repository::consume_into(ElementId id, ElementInstance& out) {
   Entry& e = entry(id);
   if (e.ring_count == 0) return false;
+  touch(e, id);
   // Swap instead of move: `out`'s previous field storage ends up in the
   // ring slot, ready for the next store_copy to fill without allocating.
   std::swap(out, e.ring[e.ring_head]);

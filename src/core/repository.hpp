@@ -28,6 +28,13 @@
 // ElementIds, so the steady-state store/fetch path is a bounds-checked
 // array access -- no hashing, no string compares. The name-keyed methods
 // remain as resolve-then-forward wrappers for tests and cold paths.
+//
+// Wake signal: the repository keeps a deduplicated list of *touched*
+// elements -- every id whose availability may have changed (a store
+// raises it, a consumption lowers it) or whose request variable was
+// cleared since the owner last drained the list. The gateway's
+// event-triggered output pass wakes only the construct plans that read a
+// touched element (DESIGN.md S29 "Output wake-up").
 #pragma once
 
 #include <cstdint>
@@ -180,7 +187,13 @@ class Repository {
   Duration horizon(std::span<const std::string> elements, Instant now) const;
 
   // -- request variables ------------------------------------------------
-  void set_request(ElementId id, bool requested = true) { entry(id).b_req = requested; }
+  /// Setting a request does not touch the element (a held output stays
+  /// parked); clearing one does.
+  void set_request(ElementId id, bool requested = true) {
+    Entry& e = entry(id);
+    e.b_req = requested;
+    if (!requested) touch(e, id);
+  }
   void set_request(const std::string& name, bool requested = true) {
     set_request(resolve(name), requested);
   }
@@ -195,14 +208,19 @@ class Repository {
   std::size_t queue_depth(ElementId id) const { return entry(id).ring_count; }
   std::size_t queue_depth(const std::string& name) const { return queue_depth(resolve(name)); }
 
+  // -- wake signal ------------------------------------------------------
+  /// Elements touched since the last clear_touched(), each listed once,
+  /// in first-touch order. Touching operations: store, store_copy,
+  /// consume_into, an event fetch, set_request(false). Capacity is
+  /// reserved at declare(), so touching never allocates.
+  std::span<const ElementId> touched() const { return touched_; }
+  void clear_touched() {
+    for (const ElementId id : touched_) entries_[id].touched = false;
+    touched_.clear();
+  }
+
   // -- counters ---------------------------------------------------------
   std::uint64_t stores() const { return stores_; }
-  /// Global freshness epoch (S29): per-element versions only advance
-  /// together with this counter, so a plan whose cached version sum was
-  /// computed at the current epoch can reuse it without touching the
-  /// per-element entries. (Alias of stores(); spelled separately where
-  /// the caller depends on the epoch property, not the statistic.)
-  std::uint64_t store_epoch() const { return stores_; }
   std::uint64_t overflows() const { return overflows_; }
   std::uint64_t stale_fetches_refused() const { return stale_refused_; }
   std::size_t element_count() const { return entries_.size(); }
@@ -220,8 +238,15 @@ class Repository {
     std::size_t ring_head = 0;
     std::size_t ring_count = 0;
     bool b_req = false;
+    bool touched = false;  // listed in touched_
     std::uint64_t version = 0;
   };
+
+  void touch(Entry& e, ElementId id) {
+    if (e.touched) return;
+    e.touched = true;
+    touched_.push_back(id);
+  }
 
   /// Name -> id or SpecError (undeclared elements are configuration
   /// faults, matching the historical name-keyed behaviour).
@@ -232,6 +257,7 @@ class Repository {
 
   std::vector<Entry> entries_;  // indexed by ElementId
   std::unordered_map<Symbol, ElementId, SymbolHash> index_;
+  std::vector<ElementId> touched_;  // capacity >= entries_.size()
   std::uint64_t stores_ = 0;
   std::uint64_t overflows_ = 0;
   mutable std::uint64_t stale_refused_ = 0;

@@ -34,7 +34,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <limits>
 #include <vector>
 
 #include "core/repository.hpp"
@@ -116,13 +115,19 @@ struct ConstructPlan {
   /// Freshness gate for event-triggered outputs of state-only messages:
   /// repository version sum at the last emission (0 = never emitted).
   std::uint64_t last_emitted_version_sum = 0;
-  /// Version-sum cache (S29): the sum over `required` computed at
-  /// repository store-epoch `cached_version_epoch`. Versions only move
-  /// with the epoch, so an equal epoch proves the cached sum is current
-  /// -- repeated output evaluations between stores skip the per-element
-  /// walk. Pure caching; the emitted artifacts are unchanged.
-  std::uint64_t cached_version_sum = 0;
-  std::uint64_t cached_version_epoch = std::numeric_limits<std::uint64_t>::max();
+  /// Position in the owning link's construct plans (its active-set bit).
+  std::uint32_t index = 0;
+  /// Output wake-up (S29): an event-triggered plan whose send automaton
+  /// is guard-free -- one location, no error location, one unguarded m!
+  /// self-loop of this message (make_unconstrained_send) -- may park
+  /// after an evaluation held without emitting.
+  bool parks_when_held = false;
+  /// Why the plan is out of its link's active set: kIdle = skipped by
+  /// the freshness gate, kHeld = held with every required state element
+  /// unavailable. A parked plan is re-evaluated once a required element
+  /// is touched (Repository::touched()).
+  enum class Park : std::uint8_t { kActive, kIdle, kHeld };
+  Park park = Park::kActive;
   /// Resolved emission override (S29): points at this message's slot in
   /// the link's emitter table, pre-created at compile time so the hot
   /// path tests one function object instead of hashing into the map.

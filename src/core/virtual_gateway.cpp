@@ -1,6 +1,7 @@
 #include "core/virtual_gateway.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <set>
 
 namespace decos::core {
@@ -16,6 +17,19 @@ Symbol t_now_sym() {
 Symbol tnow_sym() {
   static const Symbol sym = intern_symbol("tnow");
   return sym;
+}
+
+/// The shape make_unconstrained_send builds: one location, no error
+/// location, and a single unguarded m! self-loop of `message`. Such an
+/// automaton enables m! at every instant, so its try_send outcome
+/// depends on the repository alone.
+bool guard_free_send(const ta::AutomatonSpec& automaton, Symbol message) {
+  if (automaton.locations().size() != 1 || !automaton.error().empty() ||
+      automaton.edges().size() != 1)
+    return false;
+  const ta::Edge& edge = automaton.edges().front();
+  return edge.action == ta::ActionKind::kSend && edge.message_sym == message &&
+         edge.guard == nullptr && edge.source_sym == edge.target_sym;
 }
 
 }  // namespace
@@ -480,6 +494,9 @@ void VirtualGateway::compile_plans() {
         plan->items.push_back(std::move(item));
       }
 
+      plan->index = static_cast<std::uint32_t>(l.construct_plans_.size());
+      plan->parks_when_held = !plan->time_triggered && plan->interpreter != nullptr &&
+                              guard_free_send(plan->interpreter->spec(), plan->message_sym);
       ConstructPlan* raw = plan.get();
       l.construct_plans_.push_back(std::move(plan));
       l.construct_by_message_[raw->message_sym] = raw;
@@ -489,7 +506,27 @@ void VirtualGateway::compile_plans() {
       // overrides; unordered_map values are address-stable.
       raw->emitter = &l.emitters_[raw->message_sym];
     }
+    // Every plan starts active.
+    const std::size_t plans = l.construct_plans_.size();
+    l.active_plans_.assign((plans + 63) / 64, 0);
+    for (std::size_t i = 0; i < plans; ++i) l.active_plans_[i / 64] |= std::uint64_t{1} << (i % 64);
   }
+
+  // Output wake-up index: element -> the construct plans that read it.
+  // Count into wake_offsets_[id], prefix-sum to segment ends, then place
+  // each entry by decrementing its element's end down to the start.
+  const std::size_t elements = repository_.element_count();
+  wake_offsets_.assign(elements + 1, 0);
+  for (const GatewayLink* link : {&link_a_, &link_b_})
+    for (const auto& plan : link->construct_plans_)
+      for (const ElementId id : plan->required) ++wake_offsets_[id];
+  for (std::size_t e = 1; e <= elements; ++e) wake_offsets_[e] += wake_offsets_[e - 1];
+  wake_plans_.assign(wake_offsets_[elements], 0);
+  for (const GatewayLink* link : {&link_a_, &link_b_})
+    for (const auto& plan : link->construct_plans_)
+      for (const ElementId id : plan->required)
+        wake_plans_[--wake_offsets_[id]] =
+            static_cast<std::uint32_t>(link->side()) << 31 | plan->index;
 }
 
 void VirtualGateway::bind_inputs() {
@@ -556,8 +593,8 @@ void VirtualGateway::on_input(int side, const spec::MessageInstance& instance, I
 
   // Event-driven forwarding: freshly stored elements may enable
   // event-triggered outputs on either side immediately.
-  try_outputs(link_a_, now, /*tt_outputs=*/false, /*et_outputs=*/true);
-  try_outputs(link_b_, now, /*tt_outputs=*/false, /*et_outputs=*/true);
+  try_outputs(link_a_, now, /*tt_outputs=*/false);
+  try_outputs(link_b_, now, /*tt_outputs=*/false);
 }
 
 bool VirtualGateway::process_input(GatewayLink& link, DissectPlan& plan,
@@ -610,8 +647,8 @@ void VirtualGateway::drain_input(GatewayLink& link, const GatewayLink::InputBind
   now_ = now;
   ++stats_.messages_in;
   if (!process_input(link, *binding.plan, binding.recv_interpreter, instance, now)) return;
-  try_outputs(link_a_, now, /*tt_outputs=*/false, /*et_outputs=*/true);
-  try_outputs(link_b_, now, /*tt_outputs=*/false, /*et_outputs=*/true);
+  try_outputs(link_a_, now, /*tt_outputs=*/false);
+  try_outputs(link_b_, now, /*tt_outputs=*/false);
 }
 
 void VirtualGateway::dissect_and_store(GatewayLink& link, DissectPlan& plan,
@@ -742,46 +779,112 @@ void VirtualGateway::request_missing(GatewayLink& link, Symbol message, Instant 
   if (suppressed_construction_ != nullptr) suppressed_construction_->add();
 }
 
-void VirtualGateway::try_outputs(GatewayLink& link, Instant now, bool tt_outputs,
-                                 bool et_outputs) {
+void VirtualGateway::wake_touched() {
+  // With no plan parked there is nobody to wake: the touches are moot.
+  const std::span<const ElementId> touched =
+      parked_ != 0 ? repository_.touched() : std::span<const ElementId>{};
+  for (const ElementId id : touched) {
+    for (std::uint32_t k = wake_offsets_[id]; k < wake_offsets_[id + 1]; ++k) {
+      GatewayLink& link = (wake_plans_[k] >> 31) != 0 ? link_b_ : link_a_;
+      const std::uint32_t index = wake_plans_[k] & 0x7fffffffu;
+      ConstructPlan& plan = *link.construct_plans_[index];
+      if (plan.park == ConstructPlan::Park::kActive) continue;
+      if (plan.park == ConstructPlan::Park::kHeld) {
+        --link.parked_held_;
+        // Not yet passed by the walk in progress: evaluated there.
+        if (link.pass_cursor_ != GatewayLink::kNoPass && index >= link.pass_cursor_)
+          ++link.woken_ahead_;
+      }
+      plan.park = ConstructPlan::Park::kActive;
+      --parked_;
+      link.active_plans_[index / 64] |= std::uint64_t{1} << (index % 64);
+    }
+  }
+  repository_.clear_touched();
+}
+
+void VirtualGateway::park(GatewayLink& link, ConstructPlan& plan, ConstructPlan::Park why) {
+  plan.park = why;
+  ++parked_;
+  link.active_plans_[plan.index / 64] &= ~(std::uint64_t{1} << (plan.index % 64));
+  if (why == ConstructPlan::Park::kHeld) ++link.parked_held_;
+}
+
+void VirtualGateway::try_outputs(GatewayLink& link, Instant now, bool tt_outputs) {
   now_ = now;
-  for (const auto& plan_ptr : link.construct_plans_) {
-    ConstructPlan& plan = *plan_ptr;
+  // Nothing to evaluate or count; the other link's pass drains touches.
+  if (link.construct_plans_.empty()) return;
+  wake_touched();
+  // Output wake-up (DESIGN.md S29): the walk visits active plans only. A
+  // parked plan's evaluation provably cannot emit -- an idle one would
+  // be skipped by the freshness gate, a held one would only be held
+  // again, re-setting request bits that are already set -- until one of
+  // its required elements is touched. So each pass counts every
+  // parked-held plan it skips as one held evaluation, in one step.
+  const std::uint32_t parked_held = link.parked_held_;
+  link.pass_cursor_ = 0;
+  link.woken_ahead_ = 0;
+  const std::size_t words = link.active_plans_.size();
+  for (;;) {
+    // Next active plan at or after the cursor. The live word is re-read
+    // every time: an emission may wake plans ahead of the walk.
+    std::size_t w = link.pass_cursor_ / 64;
+    if (w >= words) break;
+    std::uint64_t bits = link.active_plans_[w] & (~std::uint64_t{0} << (link.pass_cursor_ % 64));
+    while (bits == 0 && ++w < words) bits = link.active_plans_[w];
+    if (bits == 0) break;
+    const std::size_t index = w * 64 + static_cast<std::size_t>(std::countr_zero(bits));
+    link.pass_cursor_ = index + 1;
+    ConstructPlan& plan = *link.construct_plans_[index];
     if (plan.time_triggered && !tt_outputs) continue;
-    if (!plan.time_triggered && !et_outputs) continue;
     if (plan.interpreter == nullptr || plan.interpreter->in_error()) continue;
 
     // Event-triggered outputs of state-only messages emit once per fresh
     // repository update; without this gate an always-enabled m! edge
-    // would re-send the same image on every dispatch. The sum is cached
-    // on the repository store epoch: versions cannot move between equal
-    // epochs, so re-evaluations between stores skip the element walk.
+    // would re-send the same image on every dispatch. Only a store to a
+    // required element moves the sum, and a store wakes the plan.
     std::uint64_t version_sum = 0;
     if (!plan.time_triggered && !plan.consumes_events) {
-      if (const std::uint64_t epoch = repository_.store_epoch();
-          plan.cached_version_epoch == epoch) {
-        version_sum = plan.cached_version_sum;
-      } else {
-        for (const ElementId id : plan.required) version_sum += repository_.version(id);
-        plan.cached_version_sum = version_sum;
-        plan.cached_version_epoch = epoch;
+      for (const ElementId id : plan.required) version_sum += repository_.version(id);
+      if (version_sum == plan.last_emitted_version_sum || version_sum == 0) {
+        park(link, plan, ConstructPlan::Park::kIdle);
+        continue;
       }
-      if (version_sum == plan.last_emitted_version_sum) continue;
-      if (version_sum == 0) continue;  // nothing produced yet
     }
 
     // Emit as many instances as the automaton allows (event queues may
     // hold several pending instances); state-only messages emit once.
-    for (int guard = 0; guard < 64; ++guard) {
-      const ta::FireResult result = plan.interpreter->try_send(plan.message_sym, now);
+    ta::FireResult result = ta::FireResult::kNotEnabled;
+    int guard = 0;
+    for (; guard < 64; ++guard) {
+      result = plan.interpreter->try_send(plan.message_sym, now);
       if (result != ta::FireResult::kFired) break;
-      if (!construct_and_emit(link, plan, now)) break;
+      const bool emitted = construct_and_emit(link, plan, now);
+      // Consumption (even by a failed construction) may wake plans.
+      wake_touched();
+      if (!emitted) break;
       if (!plan.consumes_events) {
         if (!plan.time_triggered) plan.last_emitted_version_sum = version_sum;
         break;
       }
     }
+    // Held without emitting. (A plan that just emitted stays active: on
+    // a per-frame flow it is woken again at once, so parking it would
+    // only add work.) A state image available now may go stale before
+    // the next touch (a new request bit), so such a plan stays active.
+    if (guard == 0 && result == ta::FireResult::kNotEnabled && plan.parks_when_held) {
+      bool state_available = false;
+      for (const ConstructItem& item : plan.items)
+        if (!item.is_event && repository_.available(item.repo_id, now)) state_available = true;
+      if (!state_available) park(link, plan, ConstructPlan::Park::kHeld);
+    }
   }
+  const std::uint32_t skipped_held = parked_held - link.woken_ahead_;
+  if (skipped_held != 0) {
+    stats_.construction_held += skipped_held;
+    if (suppressed_construction_ != nullptr) suppressed_construction_->add(skipped_held);
+  }
+  link.pass_cursor_ = GatewayLink::kNoPass;
 }
 
 bool VirtualGateway::construct_and_emit(GatewayLink& link, ConstructPlan& plan, Instant now) {
@@ -925,8 +1028,8 @@ void VirtualGateway::dispatch(Instant now) {
     }
   }
 
-  try_outputs(link_a_, now, /*tt_outputs=*/true, /*et_outputs=*/true);
-  try_outputs(link_b_, now, /*tt_outputs=*/true, /*et_outputs=*/true);
+  try_outputs(link_a_, now, /*tt_outputs=*/true);
+  try_outputs(link_b_, now, /*tt_outputs=*/true);
 }
 
 void VirtualGateway::start(sim::Simulator& simulator) {

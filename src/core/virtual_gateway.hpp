@@ -80,7 +80,10 @@ struct GatewayStats {
   std::uint64_t element_overflows = 0;
   std::uint64_t conversions = 0;          // transfer-rule applications
   std::uint64_t messages_constructed = 0; // emitted towards the other VN
-  std::uint64_t construction_held = 0;    // m! guard true but elements missing
+  // Held evaluations, one per output pass per plan whose m! guard holds
+  // but whose elements are missing. Plans parked as held (output
+  // wake-up) are counted for each pass in one step; same meaning.
+  std::uint64_t construction_held = 0;
   std::uint64_t construction_failed = 0;  // field mismatch between the two links
   std::uint64_t automaton_errors = 0;
   std::uint64_t restarts = 0;
@@ -212,7 +215,13 @@ class VirtualGateway {
   bool can_construct(const ConstructPlan& plan, Instant now) const;
   bool can_construct(const GatewayLink& link, Symbol message, Instant now) const;
   void request_missing(GatewayLink& link, Symbol message, Instant now);
-  void try_outputs(GatewayLink& link, Instant now, bool tt_outputs, bool et_outputs);
+  /// One output pass over `link`: every active event-triggered plan,
+  /// plus the time-triggered ones when `tt_outputs` (dispatch ticks).
+  void try_outputs(GatewayLink& link, Instant now, bool tt_outputs);
+  /// Drain the repository's touched list into the active sets of both
+  /// links (output wake-up).
+  void wake_touched();
+  void park(GatewayLink& link, ConstructPlan& plan, ConstructPlan::Park why);
   bool construct_and_emit(GatewayLink& link, ConstructPlan& plan, Instant now);
   void note_error(GatewayLink& link, const std::string& message_name, Instant now);
   void maybe_restart(GatewayLink& link, Instant now);
@@ -231,6 +240,12 @@ class VirtualGateway {
   // the dissect items of every message carrying the rule's source
   // element (the source need not be a declared repository slot).
   std::unordered_map<Symbol, std::vector<std::unique_ptr<RulePlan>>, SymbolHash> rule_plans_;
+  // Output wake-up index, CSR over ElementId: the construct plans reading
+  // element e are wake_plans_[wake_offsets_[e] .. wake_offsets_[e + 1]),
+  // each as (link side << 31) | plan index.
+  std::vector<std::uint32_t> wake_offsets_;
+  std::vector<std::uint32_t> wake_plans_;
+  std::uint32_t parked_ = 0;  // plans parked on either link
   // Interned span-track label "gw:<name>" (hot-path span emission).
   Symbol track_sym_;
   // Current operation instant, visible to the interpreter hooks (the

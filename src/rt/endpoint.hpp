@@ -50,6 +50,10 @@ class Endpoint {
   /// report bytes-derived estimates, sockets report 0).
   virtual std::size_t backlog() const { return 0; }
 
+  /// True once the ingress transport stopped delivering for good because
+  /// its contents failed validation (a quarantined ring).
+  virtual bool rx_quarantined() const { return false; }
+
   virtual const char* kind() const = 0;
 
   const EndpointStats& stats() const { return stats_; }
@@ -86,6 +90,7 @@ class RingEndpoint final : public Endpoint {
   }
 
   std::size_t backlog() const override { return rx_->readable_bytes(); }
+  bool rx_quarantined() const override { return rx_->quarantined(); }
   const char* kind() const override { return "ring"; }
 
   SpscRing& rx() { return *rx_; }

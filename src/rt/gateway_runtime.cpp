@@ -26,6 +26,7 @@ void GatewayRuntime::bind_observability(obs::MetricsRegistry& metrics) {
   rx_dropped_metric_ = &metrics.counter(prefix + "rx_dropped");
   tx_frames_metric_ = &metrics.counter(prefix + "tx_frames");
   tx_dropped_metric_ = &metrics.counter(prefix + "tx_dropped");
+  ring_quarantined_metric_ = &metrics.counter(prefix + "ring_quarantined");
   backlog_metric_ = &metrics.gauge(prefix + "backlog");
   batch_frames_metric_ =
       &metrics.histogram(prefix + "batch_frames", obs::Determinism::kHostTime);
@@ -142,7 +143,14 @@ std::size_t GatewayRuntime::poll_once(Instant now) {
   std::size_t processed = 0;
   for (Side& s : sides_) {
     if (s.endpoint == nullptr) continue;
-    processed += s.endpoint->poll(s.sink, config_.max_batch);
+    const std::size_t n = s.endpoint->poll(s.sink, config_.max_batch);
+    // A quarantine surfaces as an empty poll; checked only then.
+    if (n == 0 && !s.quarantined && s.endpoint->rx_quarantined()) {
+      s.quarantined = true;
+      ++stats_.ring_quarantined;
+      if (ring_quarantined_metric_ != nullptr) ring_quarantined_metric_->add();
+    }
+    processed += n;
   }
   if (processed > 0) {
     ++stats_.batches;

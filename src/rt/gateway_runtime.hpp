@@ -68,6 +68,7 @@ struct RuntimeStats {
   std::uint64_t tx_frames = 0;
   std::uint64_t tx_dropped = 0;       // endpoint backpressure
   std::uint64_t tx_encode_errors = 0;
+  std::uint64_t ring_quarantined = 0; // ingress rings stopped for corrupt cursors/frames
   std::uint64_t batches = 0;
   std::uint64_t dispatches = 0;
 };
@@ -142,6 +143,7 @@ class GatewayRuntime {
     std::size_t last_hit = 0;  // ingress index of the previous frame's match
     std::vector<std::byte> tx_buf;
     SideSink sink;
+    bool quarantined = false;  // ingress counted in ring_quarantined
   };
 
   void on_ingress_frame(int side, std::span<const std::byte> payload);
@@ -163,6 +165,7 @@ class GatewayRuntime {
   obs::Counter* rx_dropped_metric_ = nullptr;
   obs::Counter* tx_frames_metric_ = nullptr;
   obs::Counter* tx_dropped_metric_ = nullptr;
+  obs::Counter* ring_quarantined_metric_ = nullptr;
   obs::Gauge* backlog_metric_ = nullptr;
   obs::Histogram* batch_frames_metric_ = nullptr;
   obs::Histogram* service_ns_metric_ = nullptr;

@@ -20,7 +20,7 @@ SpscRing::SpscRing(std::size_t capacity_bytes) {
   header_->capacity = capacity;
   data_ = owned_.get() + sizeof(RingHeader);
   capacity_ = capacity;
-  mask_ = capacity - 1;
+  run_limit_ = capacity;
 }
 
 SpscRing::SpscRing(void* region, std::size_t region_bytes, bool init) {
@@ -40,7 +40,7 @@ SpscRing::SpscRing(void* region, std::size_t region_bytes, bool init) {
   }
   data_ = static_cast<std::byte*>(region) + sizeof(RingHeader);
   capacity_ = capacity;
-  mask_ = capacity - 1;
+  run_limit_ = capacity;
 }
 
 bool SpscRing::try_push(std::span<const std::byte> payload) {
@@ -51,7 +51,7 @@ bool SpscRing::try_push(std::span<const std::byte> payload) {
   }
   const std::uint64_t head = header_->head.load(std::memory_order_acquire);
   const std::uint64_t tail = header_->tail.load(std::memory_order_relaxed);
-  const std::size_t offset = static_cast<std::size_t>(tail & mask_);
+  const std::size_t offset = static_cast<std::size_t>(tail & (capacity_ - 1));
   const std::size_t contiguous = capacity_ - offset;
   const std::uint32_t len = static_cast<std::uint32_t>(payload.size());
 

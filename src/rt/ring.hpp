@@ -18,7 +18,11 @@
 //
 // The cursor block lives at the start of the region, so the same layout
 // works over private heap memory (in-process benches/tests) and over a
-// shm_open mapping shared between processes (ShmRing below).
+// shm_open mapping shared between processes (ShmRing below). Shared
+// memory is untrusted input: the consumer validates the cursors once per
+// claim and every length prefix before it reads a payload. A ring that
+// fails validation is quarantined -- never read again -- and counted by
+// the runtime (rt.<gw>.ring_quarantined).
 #pragma once
 
 #include <atomic>
@@ -86,27 +90,45 @@ class SpscRing {
   /// load), hand up to `max_frames` frames to `sink` as
   /// span<const byte>, retire them with one release store. Returns the
   /// number of frames delivered. The spans alias ring storage and are
-  /// only valid inside the callback.
+  /// only valid inside the callback. An empty claim stores nothing, so
+  /// an idle consumer does not keep pulling the head cursor's cache line
+  /// away from the producer.
+  ///
+  /// A run longer than the capacity, a misaligned head, a frame longer
+  /// than max_payload(), or a frame or wrap gap reaching past the run or
+  /// the end of the data area quarantines the ring: the claim stops
+  /// before the bad frame and every later consume() returns 0.
   template <typename Sink>
   std::size_t consume(std::size_t max_frames, Sink&& sink) {
     const std::uint64_t tail = header_->tail.load(std::memory_order_acquire);
     std::uint64_t head = header_->head.load(std::memory_order_relaxed);
+    if (head == tail) return 0;
+    // One branch per claim; a quarantined ring fails it (run_limit_ 0).
+    if ((tail - head > run_limit_) | ((head & (kFrameAlign - 1)) != 0)) [[unlikely]]
+      return quarantine(0);
     std::size_t delivered = 0;
     while (head != tail && delivered < max_frames) {
-      const std::size_t offset = static_cast<std::size_t>(head & mask_);
+      const std::size_t offset = static_cast<std::size_t>(head & (capacity_ - 1));
       std::uint32_t len;
       std::memcpy(&len, data_ + offset, sizeof(len));
-      if (len == kWrapMarker) {
-        head += capacity_ - offset;  // skip the tail gap, continue at 0
-        continue;
+      const bool wrap = len == kWrapMarker;  // skip the tail gap, continue at 0
+      const std::size_t framed = wrap ? capacity_ - offset : framed_size(len);
+      if ((framed > tail - head) | (framed > capacity_ - offset) |
+          (!wrap && len > max_payload())) [[unlikely]] {
+        header_->head.store(head, std::memory_order_release);
+        return quarantine(delivered);
       }
+      head += framed;
+      if (wrap) continue;
       sink(std::span<const std::byte>(data_ + offset + sizeof(std::uint32_t), len));
-      head += framed_size(len);
       ++delivered;
     }
     header_->head.store(head, std::memory_order_release);
     return delivered;
   }
+
+  /// True once consume() has rejected this ring's contents.
+  bool quarantined() const { return header_ != nullptr && run_limit_ == 0; }
 
   /// Published-but-unconsumed bytes (approximate across threads).
   std::size_t readable_bytes() const {
@@ -122,7 +144,7 @@ class SpscRing {
     header_ = o.header_;
     data_ = o.data_;
     capacity_ = o.capacity_;
-    mask_ = o.mask_;
+    run_limit_ = o.run_limit_;
     o.header_ = nullptr;
     o.data_ = nullptr;
   }
@@ -131,7 +153,14 @@ class SpscRing {
   RingHeader* header_ = nullptr;
   std::byte* data_ = nullptr;
   std::size_t capacity_ = 0;
-  std::uint64_t mask_ = 0;
+  // Longest run a claim accepts: capacity_, or 0 once quarantined.
+  // Consumer-local, never kept in shared memory.
+  std::size_t run_limit_ = 0;
+
+  [[gnu::cold, gnu::noinline]] std::size_t quarantine(std::size_t delivered) {
+    run_limit_ = 0;
+    return delivered;
+  }
 };
 
 /// A SpscRing living in a POSIX shared-memory object, so a producer in

@@ -478,5 +478,74 @@ TEST(HotPathAllocations, SteadyStateEventPipelineAllocatesNothing) {
   EXPECT_GT(emitted, warm_emitted) << "pipeline stopped forwarding";
 }
 
+TEST(HotPathAllocations, ManyOutputEventGatewayAllocatesNothing) {
+  // fanin_wide's shape: 64 keyed event flows, each feeding its own
+  // event-triggered output. Every admitted frame runs the output pass
+  // over 64 plans, 63 of them held (and parked) at any time.
+  constexpr int kFlows = 64;
+  spec::LinkSpec link_a{"sensors"};
+  spec::LinkSpec link_b{"consumers"};
+  for (int f = 0; f < kFlows; ++f) {
+    const std::string n = std::to_string(f);
+    link_a.add_message(state_message("in" + n, "d" + n, 1000 + f));
+    spec::PortSpec in;
+    in.message = "in" + n;
+    in.direction = spec::DataDirection::kInput;
+    in.semantics = spec::InfoSemantics::kEvent;
+    in.paradigm = spec::ControlParadigm::kEventTriggered;
+    in.max_interarrival = Duration::seconds(3600);
+    in.queue_capacity = 16;
+    link_a.add_port(in);
+    link_b.add_message(state_message("out" + n, "d" + n, 2000 + f));
+    spec::PortSpec out;
+    out.message = "out" + n;
+    out.direction = spec::DataDirection::kOutput;
+    out.semantics = spec::InfoSemantics::kEvent;
+    out.paradigm = spec::ControlParadigm::kEventTriggered;
+    out.queue_capacity = 16;
+    link_b.add_port(out);
+  }
+  GatewayConfig config;
+  config.default_d_acc = Duration::seconds(3600);
+  config.default_queue_capacity = 16;
+  VirtualGateway gw{"fanin", std::move(link_a), std::move(link_b), config};
+  for (int f = 0; f < kFlows; ++f)
+    gw.set_element_config("d" + std::to_string(f), spec::InfoSemantics::kEvent,
+                          Duration::seconds(3600), 16);
+  gw.finalize();
+  gw.trace().set_enabled(false);
+  std::size_t emitted = 0;
+  for (int f = 0; f < kFlows; ++f)
+    gw.link_b().set_emitter("out" + std::to_string(f),
+                            [&emitted](const spec::MessageInstance&) { ++emitted; });
+
+  std::vector<spec::MessageInstance> frames;
+  for (int f = 0; f < kFlows; ++f)
+    frames.push_back(spec::make_instance(*gw.link_a().spec().message("in" + std::to_string(f))));
+  Instant now = Instant::origin();
+  std::size_t next = 0;
+  const auto run = [&](int iterations) {
+    for (int i = 0; i < iterations; ++i) {
+      now += 10_us;
+      next = (next * 37 + 11) % kFlows;  // interleaved order, full period
+      spec::MessageInstance& inst = frames[next];
+      inst.elements()[1].fields[0] = ta::Value{static_cast<std::int64_t>(i)};
+      inst.elements()[1].fields[1] = ta::Value{now};
+      inst.set_send_time(now);
+      gw.on_input(0, inst, now);
+      if (i % 100 == 0) gw.dispatch(now);
+    }
+  };
+  // Warm every repository ring slot of every flow (16 per element): a
+  // slot first filled by a store allocates its field storage once.
+  run(32 * kFlows);
+  const std::size_t warm_emitted = emitted;
+  const std::size_t before = g_allocations;
+  run(16 * kFlows);
+  EXPECT_EQ(g_allocations - before, 0u) << "steady-state many-output pass allocated";
+  EXPECT_EQ(emitted - warm_emitted, 16u * kFlows) << "every admitted frame is forwarded once";
+  EXPECT_GT(gw.stats().construction_held, 0u);
+}
+
 }  // namespace
 }  // namespace decos::core

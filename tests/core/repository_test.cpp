@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 namespace decos::core {
 namespace {
 
@@ -162,6 +164,73 @@ TEST(RepositoryTest, ElementNamesListsAll) {
   auto names = repo.element_names();
   std::sort(names.begin(), names.end());
   EXPECT_EQ(names, (std::vector<std::string>{"a", "b"}));
+}
+
+std::vector<ElementId> touched(const Repository& repo) {
+  return {repo.touched().begin(), repo.touched().end()};
+}
+
+TEST(RepositoryTest, TouchedListCoversEveryRaisingOrConsumingCallOnce) {
+  Repository repo;
+  const ElementId s = repo.declare(state_decl("s"));
+  const ElementId e = repo.declare(event_decl("e", 2));
+  const ElementId f = repo.declare(event_decl("f"));
+  EXPECT_TRUE(repo.touched().empty());
+
+  // store and store_copy; repeated touches are listed once, in
+  // first-touch order.
+  repo.store(s, instance(1), at(0));
+  repo.store(s, instance(2), at(1));
+  repo.store_copy(e, instance(3), at(1));
+  repo.store_copy(e, instance(4), at(1));
+  EXPECT_EQ(touched(repo), (std::vector<ElementId>{s, e}));
+  // An overflowing event store still counts (its version moves).
+  repo.clear_touched();
+  EXPECT_TRUE(repo.touched().empty());
+  EXPECT_FALSE(repo.store_copy(e, instance(5), at(2)));
+  EXPECT_EQ(touched(repo), (std::vector<ElementId>{e}));
+
+  // consume_into and an event fetch lower availability: both touch.
+  repo.clear_touched();
+  ElementInstance out;
+  ASSERT_TRUE(repo.consume_into(e, out));
+  EXPECT_EQ(touched(repo), (std::vector<ElementId>{e}));
+  repo.clear_touched();
+  ASSERT_TRUE(repo.fetch(e, at(2)).has_value());
+  EXPECT_EQ(touched(repo), (std::vector<ElementId>{e}));
+
+  // Reads touch nothing: state fetch/fetch_state/peek/available, and
+  // consuming from an empty queue.
+  repo.clear_touched();
+  EXPECT_TRUE(repo.fetch(s, at(2)).has_value());
+  EXPECT_NE(repo.fetch_state(s, at(2)), nullptr);
+  EXPECT_NE(repo.peek(s), nullptr);
+  EXPECT_TRUE(repo.available(s, at(2)));
+  EXPECT_FALSE(repo.consume_into(f, out));
+  EXPECT_FALSE(repo.fetch(f, at(2)).has_value());
+  EXPECT_TRUE(repo.touched().empty());
+
+  // Clearing a request touches.
+  repo.set_request(f, true);
+  repo.set_request(f, false);
+  EXPECT_EQ(touched(repo), (std::vector<ElementId>{f}));
+}
+
+TEST(RepositoryTest, SettingARequestDoesNotTouch) {
+  // A held output sets the request bits of its missing elements; if that
+  // touched them, the plan would wake itself and never stay parked.
+  Repository repo;
+  const ElementId s = repo.declare(state_decl("s"));
+  const ElementId e = repo.declare(event_decl("e"));
+  repo.set_request(s);
+  repo.set_request(e, true);
+  EXPECT_TRUE(repo.requested(s));
+  EXPECT_TRUE(repo.requested(e));
+  EXPECT_TRUE(repo.touched().empty());
+  // The store that satisfies the request clears it and touches.
+  repo.store(e, instance(1), at(0));
+  EXPECT_FALSE(repo.requested(e));
+  EXPECT_EQ(touched(repo), (std::vector<ElementId>{e}));
 }
 
 TEST(ElementInstanceTest, FieldAccessAndUpdate) {

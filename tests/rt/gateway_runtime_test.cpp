@@ -6,6 +6,7 @@
 
 #include <unistd.h>
 
+#include <cstring>
 #include <vector>
 
 #include "rt_fixture.hpp"
@@ -282,6 +283,42 @@ TEST(GatewayRuntime, MetricsExposeDropsAndServiceShape) {
   EXPECT_EQ(metrics.counter("rt.rtgw.rx_dropped").value(), 3u);
   EXPECT_EQ(metrics.histogram("rt.rtgw.batch_frames").count(), 1u);
   EXPECT_EQ(metrics.histogram("rt.rtgw.batch_frames").max(), 4);
+}
+
+TEST(GatewayRuntime, CorruptIngressRingIsQuarantinedAndCounted) {
+  auto gw = make_rt_gateway({});
+  ManualClock clock;
+  GatewayRuntime runtime{*gw, clock};
+  // Side A's ingress ring over a region the test can corrupt.
+  constexpr std::size_t kCapacity = 1 << 16;
+  std::vector<std::byte> region(SpscRing::region_size(kCapacity));
+  SpscRing ingress{region.data(), region.size(), /*init=*/true};
+  SpscRing egress_a{1 << 16};
+  RingEndpoint endpoint_a{ingress, egress_a};
+  RingPair side_b;
+  runtime.attach(0, endpoint_a);
+  runtime.attach(1, side_b.endpoint);
+  obs::MetricsRegistry metrics;
+  runtime.bind_observability(metrics);
+  runtime.start();
+
+  const spec::MessageSpec& msg_a = *gw->link_a().spec().message("msgA");
+  const std::vector<std::byte> good = encode_frame(msg_a, 7, clock.now());
+  ASSERT_TRUE(ingress.try_push(good));
+  ASSERT_TRUE(ingress.try_push(good));
+  // The second frame's length prefix now claims most of the ring.
+  const std::uint32_t bogus = 60000;
+  std::memcpy(region.data() + sizeof(RingHeader) + framed_size(good.size()), &bogus,
+              sizeof(bogus));
+  for (int i = 0; i < 3; ++i) {
+    clock.advance(Duration::microseconds(100));
+    runtime.poll_once(clock.now());
+    ASSERT_TRUE(ingress.try_push(good));  // the producer keeps going
+  }
+  EXPECT_EQ(runtime.stats().rx_frames, 1u) << "only the frame before the corruption";
+  EXPECT_EQ(runtime.stats().ring_quarantined, 1u) << "counted once, not per poll";
+  EXPECT_EQ(metrics.counter("rt.rtgw.ring_quarantined").value(), 1u);
+  EXPECT_EQ(drain(side_b.egress).size(), 1u);
 }
 
 }  // namespace

@@ -109,6 +109,95 @@ TEST(SpscRing, CapacityRoundsUpToPowerOfTwo) {
   EXPECT_EQ(round_capacity(1 << 20), std::size_t{1} << 20);
 }
 
+// -- corrupted shared memory: the consumer must neither read out of
+// bounds nor trust the cursors; a bad ring is quarantined for good. --
+
+/// A ring over a caller-owned region, so a test can scribble on the
+/// shared bytes the way a faulty or hostile producer process could.
+struct ExposedRing {
+  static constexpr std::size_t kCapacity = 4096;
+  std::vector<std::byte> region = std::vector<std::byte>(SpscRing::region_size(kCapacity));
+  SpscRing ring{region.data(), region.size(), /*init=*/true};
+  RingHeader& header() { return *reinterpret_cast<RingHeader*>(region.data()); }
+  std::byte* data() { return region.data() + sizeof(RingHeader); }
+  void set_len(std::size_t offset, std::uint32_t len) {
+    std::memcpy(data() + offset, &len, sizeof(len));
+  }
+};
+
+TEST(SpscRingQuarantine, OversizeLengthPrefixStopsBeforeTheFrame) {
+  ExposedRing r;
+  ASSERT_TRUE(r.ring.try_push(frame_of(16, 0x01)));
+  ASSERT_TRUE(r.ring.try_push(frame_of(16, 0x02)));
+  r.set_len(framed_size(16), static_cast<std::uint32_t>(r.ring.max_payload() + 1));
+  const auto frames = drain(r.ring);
+  ASSERT_EQ(frames.size(), 1u) << "the intact frame before the corruption is delivered";
+  EXPECT_EQ(frames[0], frame_of(16, 0x01));
+  EXPECT_TRUE(r.ring.quarantined());
+  // Quarantine is for good: later, valid frames are not read either.
+  ASSERT_TRUE(r.ring.try_push(frame_of(8, 0x03)));
+  EXPECT_EQ(drain(r.ring).size(), 0u);
+}
+
+TEST(SpscRingQuarantine, LengthPastThePublishedRunIsRejected) {
+  ExposedRing r;
+  ASSERT_TRUE(r.ring.try_push(frame_of(16, 0x01)));
+  r.set_len(0, 200);  // within max_payload, but only 24 bytes are published
+  EXPECT_EQ(drain(r.ring).size(), 0u);
+  EXPECT_TRUE(r.ring.quarantined());
+}
+
+TEST(SpscRingQuarantine, FrameRunningPastTheDataAreaIsRejected) {
+  ExposedRing r;
+  // Cursors near the end of the data area, a frame whose length would
+  // read past it (the producer always wraps such a frame).
+  const std::uint64_t start = 10 * ExposedRing::kCapacity - 64;
+  r.header().head.store(start);
+  r.header().tail.store(start + 512);
+  r.set_len(ExposedRing::kCapacity - 64, 400);
+  EXPECT_EQ(drain(r.ring).size(), 0u);
+  EXPECT_TRUE(r.ring.quarantined());
+}
+
+TEST(SpscRingQuarantine, CorruptCursorsAreRejected) {
+  {
+    ExposedRing r;  // tail claims more than the whole ring
+    r.header().tail.store(ExposedRing::kCapacity + 8);
+    EXPECT_EQ(drain(r.ring).size(), 0u);
+    EXPECT_TRUE(r.ring.quarantined());
+  }
+  {
+    ExposedRing r;  // tail behind head (unsigned run wraps around)
+    r.header().head.store(64);
+    r.header().tail.store(8);
+    EXPECT_EQ(drain(r.ring).size(), 0u);
+    EXPECT_TRUE(r.ring.quarantined());
+  }
+  {
+    ExposedRing r;  // misaligned head
+    ASSERT_TRUE(r.ring.try_push(frame_of(16, 0x01)));
+    r.header().head.store(3);
+    EXPECT_EQ(drain(r.ring).size(), 0u);
+    EXPECT_TRUE(r.ring.quarantined());
+  }
+  {
+    ExposedRing r;  // a wrap marker whose gap exceeds the published run
+    r.header().tail.store(16);
+    r.set_len(0, SpscRing::kWrapMarker);
+    EXPECT_EQ(drain(r.ring).size(), 0u);
+    EXPECT_TRUE(r.ring.quarantined());
+  }
+}
+
+TEST(SpscRingQuarantine, IntactTrafficThroughWrapsNeverQuarantines) {
+  ExposedRing r;
+  for (int round = 0; round < 300; ++round) {
+    ASSERT_TRUE(r.ring.try_push(frame_of(100 + (round * 37) % 900, 0x5a)));
+    ASSERT_EQ(drain(r.ring).size(), 1u) << "round " << round;
+  }
+  EXPECT_FALSE(r.ring.quarantined());
+}
+
 TEST(ShmRing, CreateOpenRoundTrip) {
   const std::string name = "/decos_rt_ring_test_" + std::to_string(::getpid());
   auto created = ShmRing::create(name, 8192);

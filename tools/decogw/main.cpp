@@ -175,7 +175,8 @@ void print_stats(const rt::GatewayRuntime& runtime, double elapsed_s) {
   std::cout << "[decogw " << elapsed_s << "s] rx=" << s.rx_frames << " tx=" << s.tx_frames
             << " dispatches=" << s.dispatches << " rx_unknown=" << s.rx_unknown
             << " rx_decode_err=" << s.rx_decode_errors << " queue_drops=" << s.rx_dropped
-            << " tx_drops=" << s.tx_dropped << "\n";
+            << " tx_drops=" << s.tx_dropped << " ring_quarantined=" << s.ring_quarantined
+            << "\n";
   for (const rt::FlowStats& flow : runtime.flow_stats()) {
     std::cout << "  side " << flow.side << " '" << flow.message << "' ("
               << (flow.is_event ? "event" : "state") << "): frames=" << flow.frames
